@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "predictors/scheme_factory.hh"
-#include "trace/predecode.hh"
 #include "util/bitops.hh"
 #include "util/logging.hh"
 
@@ -18,14 +17,6 @@ namespace tlat::serve
 
 namespace
 {
-
-/**
- * Pending-batch size from which building a per-batch predecoded SoA
- * view pays for itself. Below it the fused AoS span path runs; the
- * two are bit-identical by the simulateBatch contract, so the
- * threshold is pure performance shape and cannot affect results.
- */
-constexpr std::size_t kSoaBatchFloor = 16;
 
 std::uint64_t
 steadyNowNs()
@@ -65,9 +56,9 @@ ServeConfig::validate() const
 /**
  * Per-tenant serving state. Ownership protocol: the control thread
  * creates a tenant and from then on touches these fields only while
- * the engine is drained; between ingest() and drain() every field
+ * the engine is drained; between ingestSpan() and drain() every field
  * below the predictor is written exclusively by the tenant's shard
- * worker, which reaches the tenant through the ring's Item::tenant
+ * worker, which reaches the tenant through the ring's Slot::tenant
  * pointer (the ring's release/acquire pair is the visibility edge —
  * see spsc_ring.hh).
  */
@@ -97,9 +88,13 @@ struct ServeEngine::Tenant
  */
 struct ServeEngine::Shard
 {
-    explicit Shard(std::size_t capacity) : ring(capacity) {}
+    /** @p capacity in records, rounded to whole slots (>= 2). */
+    explicit Shard(std::size_t capacity)
+        : ring(std::max<std::size_t>(2, capacity / kSlotRecords))
+    {
+    }
 
-    SpscRing<Item> ring;
+    SpscRing<Slot> ring;
     /** Records applied (flushed into a predictor); worker publishes. */
     PaddedAtomicU64 completed;
     /** Latch: nonzero after a worker exception (error has details). */
@@ -193,13 +188,6 @@ ServeEngine::tenantShard(std::size_t tenant) const
 }
 
 void
-ServeEngine::ingest(std::size_t tenant,
-                    const trace::BranchRecord &record)
-{
-    ingestSpan(tenant, {&record, 1});
-}
-
-void
 ServeEngine::ingestSpan(std::size_t tenant,
                         std::span<const trace::BranchRecord> records)
 {
@@ -213,18 +201,19 @@ ServeEngine::ingestSpan(std::size_t tenant,
     }
     Shard &shard = *shards_[t->shard];
     drained_ = false;
-    for (const trace::BranchRecord &record : records) {
-        Item item;
-        item.tenant = t;
-        item.record = record;
-        item.enqueueNs =
-            config_.trackLatency ? steadyNowNs() : 0;
+    Slot slot;
+    slot.tenant = t;
+    while (!records.empty()) {
+        slot.count = std::min(kSlotRecords, records.size());
+        std::copy_n(records.begin(), slot.count, slot.records.begin());
+        slot.enqueueNs = config_.trackLatency ? steadyNowNs() : 0;
         // Backpressure: a full ring means the shard worker is the
         // bottleneck; yield until it frees a slot rather than grow
         // an unbounded queue.
-        while (!shard.ring.tryPush(item))
+        while (!shard.ring.tryPush(slot))
             std::this_thread::yield();
-        ++shard.pushed;
+        shard.pushed += slot.count;
+        records = records.subspan(slot.count);
     }
 }
 
@@ -260,11 +249,14 @@ ServeEngine::requireDrained(const char *op) const
 void
 ServeEngine::shardLoop(Shard &shard)
 {
+    // close() is release-published after the final push, so a pop
+    // round that starts after observing it empties the ring for good.
+    Slot slot;
     try {
-        Item item;
         for (;;) {
-            while (shard.ring.tryPop(item))
-                applyItem(shard, item);
+            const bool closed = shard.ring.closed();
+            while (shard.ring.tryPop(slot))
+                applySlot(shard, slot);
             // Ring momentarily empty: flush every pending batch so
             // progress (and per-record latency) is bounded by the
             // poll interval, then publish.
@@ -272,16 +264,8 @@ ServeEngine::shardLoop(Shard &shard)
                 flushTenant(shard, *tenant);
             shard.dirtyTenants.clear();
             shard.completed.publish(shard.applied);
-            if (shard.ring.closed()) {
-                // close() is release-published after the final push;
-                // one more pop round after observing it catches any
-                // records that raced the close.
-                if (shard.ring.tryPop(item)) {
-                    applyItem(shard, item);
-                    continue;
-                }
+            if (closed)
                 return;
-            }
             std::this_thread::yield();
         }
     } catch (const std::exception &error) {
@@ -292,52 +276,48 @@ ServeEngine::shardLoop(Shard &shard)
     // Failure path: latch the error, then keep the ring draining
     // (discarding) so the producer's backpressure loop and drain()
     // terminate instead of spinning forever.
-    shard.applied = shard.popped;
-    shard.completed.publish(shard.applied);
     shard.failed.publish(1);
-    Item item;
     for (;;) {
-        while (shard.ring.tryPop(item)) {
-            ++shard.popped;
-            shard.applied = shard.popped;
-        }
+        const bool closed = shard.ring.closed();
+        while (shard.ring.tryPop(slot))
+            shard.popped += slot.count;
+        shard.applied = shard.popped;
         shard.completed.publish(shard.applied);
-        if (shard.ring.closed()) {
-            while (shard.ring.tryPop(item)) {
-                ++shard.popped;
-                shard.applied = shard.popped;
-            }
-            shard.completed.publish(shard.applied);
+        if (closed)
             return;
-        }
         std::this_thread::yield();
     }
 }
 
 void
-ServeEngine::applyItem(Shard &shard, const Item &item)
+ServeEngine::applySlot(Shard &shard, const Slot &slot)
 {
-    Tenant &tenant = *item.tenant;
-    ++shard.popped;
-    ++tenant.records;
-    if (item.record.cls != trace::BranchClass::Conditional) {
+    Tenant &tenant = *slot.tenant;
+    shard.popped += slot.count;
+    tenant.records += slot.count;
+    std::size_t unconditional = 0;
+    for (std::size_t i = 0; i < slot.count; ++i) {
+        const trace::BranchRecord &record = slot.records[i];
         // Non-conditional classes carry no predictor work (exactly
-        // like the offline measuring loop): applied immediately.
-        ++shard.applied;
+        // like the offline measuring loop): applied once the slot is.
+        if (record.cls != trace::BranchClass::Conditional) {
+            ++unconditional;
+            continue;
+        }
+        if (tenant.pending.empty())
+            shard.dirtyTenants.push_back(&tenant);
+        tenant.pending.push_back(record);
         if (config_.trackLatency)
-            shard.latenciesNs.push_back(steadyNowNs() -
-                                        item.enqueueNs);
-        return;
+            tenant.pendingNs.push_back(slot.enqueueNs);
+        if (tenant.pending.size() >= config_.batchRecords) {
+            flushTenant(shard, tenant);
+            shard.completed.publish(shard.applied);
+        }
     }
-    if (tenant.pending.empty())
-        shard.dirtyTenants.push_back(&tenant);
-    tenant.pending.push_back(item.record);
-    if (config_.trackLatency)
-        tenant.pendingNs.push_back(item.enqueueNs);
-    if (tenant.pending.size() >= config_.batchRecords) {
-        flushTenant(shard, tenant);
-        shard.completed.publish(shard.applied);
-    }
+    shard.applied += unconditional;
+    if (config_.trackLatency && unconditional != 0)
+        shard.latenciesNs.insert(shard.latenciesNs.end(), unconditional,
+                                 steadyNowNs() - slot.enqueueNs);
 }
 
 void
@@ -346,19 +326,12 @@ ServeEngine::flushTenant(Shard &shard, Tenant &tenant)
     const std::span<const trace::BranchRecord> batch(tenant.pending);
     if (batch.empty())
         return;
-    // The micro-batch rides the same fused simulateBatch fast paths
-    // as the offline sweep engine; batch boundaries cannot affect
-    // results (the chunk-identity contract), so the SoA build is
-    // gated purely on amortization.
-    if (batch.size() >= kSoaBatchFloor) {
-        auto soa =
-            std::make_shared<const trace::PredecodedTrace>(batch);
-        tenant.predictor->simulateBatch(
-            trace::PredecodedView(batch, std::move(soa)),
-            tenant.accuracy);
-    } else {
-        tenant.predictor->simulateBatch(batch, tenant.accuracy);
-    }
+    // The micro-batch rides the fused AoS span path of the offline
+    // sweep engine. A per-batch predecode would cost more per branch
+    // than the SoA lanes save for any scheme (DESIGN.md §15), and
+    // batch boundaries cannot affect results (the chunk-identity
+    // contract).
+    tenant.predictor->simulateBatch(batch, tenant.accuracy);
     shard.applied += batch.size();
     if (config_.trackLatency) {
         const std::uint64_t now = steadyNowNs();

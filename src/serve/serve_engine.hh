@@ -9,40 +9,43 @@
  * is *across tenants*, not across sweep cells: tenants are assigned
  * to shards, each shard owns one worker thread on the engine's
  * util::ThreadPool and one lock-free SPSC ring (spsc_ring.hh), and
- * the single ingest thread routes each record to its tenant's shard
+ * the single ingest thread routes each span to its tenant's shard
  * ring. Full rings exert backpressure (the ingest call spins with
  * yield until a slot frees), so memory stays bounded no matter how
  * far the producer runs ahead.
  *
- * Micro-batching: a shard worker does not simulate record-at-a-time.
- * It accumulates each tenant's popped conditionals into a pending
- * buffer and flushes it through the fused simulateBatch path — with
- * a per-batch predecoded SoA view once the batch is large enough to
- * amortize the lane build — so steady-state serving runs the same
- * SoA/SIMD kernels as the offline sweep engine.
+ * Per-span data plane: a ring slot carries one tenant, up to
+ * kSlotRecords records copied from the caller's span, and one
+ * enqueue stamp, so a 64-record run costs one ring crossing (one
+ * release store) instead of 64. A shard worker applies a whole slot
+ * at a time: it collects each tenant's conditionals into a pending
+ * buffer and flushes it through the AoS simulateBatch span path —
+ * the fused loop the offline sweep engine runs, with no per-batch
+ * predecode build.
  *
  * Determinism contract (pinned by tests/test_serve.cc): a tenant's
  * records are applied in ingest order by exactly one worker at a
  * time, and BranchPredictor::simulateBatch is bit-identical however
  * a record stream is split into batches. Therefore a served stream
  * yields byte-identical checkpoints and metrics JSON to the same
- * trace simulated offline, at any shard count and any batch size.
- * Wall-clock latency is deliberately *not* part of the metrics
- * document — it is run shape, not result.
+ * trace simulated offline, at any shard count, batch size, ring
+ * capacity and span size. Wall-clock latency is deliberately *not*
+ * part of the metrics document — it is run shape, not result.
  *
  * Threading rules (enforced by the drain protocol, documented in
  * DESIGN.md §15): one ingest/control thread drives addTenant /
- * ingest / drain; tenant state is touched only by its shard worker
- * between ingest and drain; every control-plane operation that reads
- * or writes tenant state (snapshot, restore, migrate, reports)
- * requires a drained engine, where the per-shard applied-record
- * counters provide the release/acquire edge that makes the worker's
- * writes visible.
+ * ingestSpan / drain; tenant state is touched only by its shard
+ * worker between ingest and drain; every control-plane operation
+ * that reads or writes tenant state (snapshot, restore, migrate,
+ * reports) requires a drained engine, where the per-shard
+ * applied-record counters provide the release/acquire edge that
+ * makes the worker's writes visible.
  */
 
 #ifndef TLAT_SERVE_SERVE_ENGINE_HH
 #define TLAT_SERVE_SERVE_ENGINE_HH
 
+#include <array>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -75,6 +78,9 @@ namespace tlat::serve
 inline constexpr const char *kServeMetricsSchema =
     "tlat-serve-metrics-v1";
 
+/** Records one ring slot carries at most (one ring crossing). */
+inline constexpr std::size_t kSlotRecords = 64;
+
 /** Engine shape knobs; validate() names the first bad one. */
 struct ServeConfig
 {
@@ -82,11 +88,15 @@ struct ServeConfig
     unsigned shards = 1;
     /** Conditionals per micro-batch flush (>= 1). */
     std::size_t batchRecords = 64;
-    /** Per-shard ring capacity; power of two >= 2. */
+    /**
+     * Per-shard ring capacity in records; power of two >= 2. The
+     * ring holds max(2, ringCapacity / kSlotRecords) slots.
+     */
     std::size_t ringCapacity = 4096;
     /**
      * Record enqueue->applied latency sampling (bench_serve). Off by
-     * default: the serving hot path then never reads a clock.
+     * default: the serving hot path then never reads a clock. On,
+     * every record of a slot carries the slot's enqueue stamp.
      */
     bool trackLatency = false;
 
@@ -147,13 +157,12 @@ class ServeEngine
     unsigned tenantShard(std::size_t tenant) const;
 
     /**
-     * Data plane, single ingest thread: routes one record to the
+     * The data plane, single ingest thread: copies @p records into
+     * ring slots of up to kSlotRecords each and pushes them to the
      * tenant's shard ring, spinning (yield) while the ring is full —
-     * the backpressure bound. Never blocks on predictor work.
+     * the backpressure bound. The span may die as soon as this
+     * returns. Never blocks on predictor work.
      */
-    void ingest(std::size_t tenant, const trace::BranchRecord &record);
-
-    /** Convenience loop over ingest() for replay/bench drivers. */
     void ingestSpan(std::size_t tenant,
                     std::span<const trace::BranchRecord> records);
 
@@ -222,18 +231,20 @@ class ServeEngine
     struct Tenant;
     struct Shard;
 
-    /** One ring crossing: the tenant plus its next record. */
-    struct Item
+    /** One ring crossing: a run of one tenant's records. */
+    struct Slot
     {
         Tenant *tenant = nullptr;
-        trace::BranchRecord record;
+        /** Records in use, 1..kSlotRecords. */
+        std::size_t count = 0;
         /** steady-clock ns at enqueue; 0 when latency is off. */
         std::uint64_t enqueueNs = 0;
+        std::array<trace::BranchRecord, kSlotRecords> records;
     };
 
     void shardLoop(Shard &shard);
-    /** Applies one popped item to its tenant (worker context). */
-    void applyItem(Shard &shard, const Item &item);
+    /** Applies one popped slot to its tenant (worker context). */
+    void applySlot(Shard &shard, const Slot &slot);
     /** Flushes a tenant's pending micro-batch (worker context). */
     void flushTenant(Shard &shard, Tenant &tenant);
     /** Asserts the drained control-plane precondition. */
@@ -245,7 +256,7 @@ class ServeEngine
 
     // Registry mutex: guards the tenant index for the (control
     // thread only, today) registration path; workers reach tenants
-    // exclusively through Item::tenant pointers whose visibility
+    // exclusively through Slot::tenant pointers whose visibility
     // rides the ring's release/acquire hand-off, never through this
     // container.
     mutable util::Mutex registry_mutex_;

@@ -86,9 +86,30 @@ setError(TextReadError *error, std::size_t line,
 /** On-wire record stride: pc u64 + target u64 + cls u8 + flags u8. */
 constexpr std::size_t kWireRecordSize = kTltrWireRecordSize;
 
-/** Records staged per bulk read/write (bounds buffer memory and keeps
- *  a corrupt count field from triggering a giant allocation). */
+/** Records staged per bulk read/write (bounds the staging buffer).
+ *  It is also readBinary's reserve cap for a stream that cannot say
+ *  how many bytes it has left. */
 constexpr std::size_t kRecordChunk = 1u << 16;
+
+/**
+ * Bytes between the read position and the end of @p is, or nullopt
+ * for a stream that cannot seek (a pipe). Leaves the read position
+ * where it was.
+ */
+std::optional<std::uint64_t>
+remainingBytes(std::istream &is)
+{
+    const std::streampos here = is.tellg();
+    if (here == std::streampos(-1))
+        return std::nullopt;
+    is.seekg(0, std::ios::end);
+    const std::streampos end = is.tellg();
+    is.clear();
+    is.seekg(here);
+    if (end == std::streampos(-1) || end < here)
+        return std::nullopt;
+    return static_cast<std::uint64_t>(end - here);
+}
 
 } // namespace
 
@@ -236,7 +257,14 @@ readBinary(std::istream &is)
     std::uint64_t count = 0;
     if (!readScalar(is, count))
         return std::nullopt;
-    trace.reserve(count);
+    // The count is untrusted. A stream too short to hold it is
+    // truncated; otherwise reserve only what the stream can back, or
+    // one staging chunk when it cannot say.
+    const std::optional<std::uint64_t> left = remainingBytes(is);
+    if (left && count > *left / kWireRecordSize)
+        return std::nullopt;
+    trace.reserve(static_cast<std::size_t>(
+        left ? count : std::min<std::uint64_t>(count, kRecordChunk)));
     std::vector<char> buffer;
     for (std::uint64_t base = 0; base < count; base += kRecordChunk) {
         const std::size_t n = static_cast<std::size_t>(

@@ -3,10 +3,11 @@
  * Determinism-contract tests for the serve engine: a served stream
  * must leave every tenant in exactly the state an offline simulation
  * of the same trace produces — byte-identical checkpoints and
- * byte-identical metrics JSON — at every shard count and micro-batch
- * size, and tenant warm state must survive snapshot / migrate /
- * restore round trips. The ring/engine TSan CI preset replays these
- * same tests under ThreadSanitizer.
+ * byte-identical metrics JSON — at every shard count, micro-batch
+ * size, ring capacity and ingest span size, and tenant warm state
+ * must survive snapshot / migrate / restore round trips. The
+ * ring/engine TSan CI preset replays these same tests under
+ * ThreadSanitizer.
  */
 
 #include <gtest/gtest.h>
@@ -91,17 +92,18 @@ offlineCheckpoint(const trace::TraceBuffer &trace)
 }
 
 /**
- * Ingests every tenant's stream interleaved in fixed blocks (block
- * size deliberately not a divisor of anything) and drains.
+ * Ingests every tenant's stream interleaved in fixed blocks (the
+ * default block size is deliberately not a divisor of anything) and
+ * drains.
  */
 void
 ingestInterleaved(
     ServeEngine &engine,
     const std::vector<std::pair<std::string, trace::TraceBuffer>>
         &traces,
-    const std::vector<std::size_t> &handles)
+    const std::vector<std::size_t> &handles,
+    std::size_t block = 173)
 {
-    constexpr std::size_t kBlock = 173;
     std::vector<std::size_t> next(traces.size(), 0);
     bool advanced = true;
     while (advanced) {
@@ -111,7 +113,7 @@ ingestInterleaved(
             if (next[t] >= records.size())
                 continue;
             const std::size_t take =
-                std::min(kBlock, records.size() - next[t]);
+                std::min(block, records.size() - next[t]);
             engine.ingestSpan(handles[t],
                               {records.data() + next[t], take});
             next[t] += take;
@@ -220,6 +222,91 @@ INSTANTIATE_TEST_SUITE_P(
         return "shards" + std::to_string(info.param.shards) +
                "_batch" + std::to_string(info.param.batchRecords);
     });
+
+/**
+ * Ring-slot boundaries: span sizes around kSlotRecords (one short,
+ * exact, one over, two slots less one, and a long multi-slot span),
+ * rings from the two-slot minimum to the default, and per-record
+ * versus batched flushes.
+ */
+struct SlotShape
+{
+    std::size_t span;
+    std::size_t ringCapacity;
+    std::size_t batchRecords;
+};
+
+class ServeSlotBoundaries : public ::testing::TestWithParam<SlotShape>
+{
+};
+
+TEST_P(ServeSlotBoundaries, ServedEqualsOfflineByteForByte)
+{
+    const SlotShape &shape = GetParam();
+    const auto traces = tenantTraces();
+
+    ServeConfig config;
+    config.shards = 2;
+    config.batchRecords = shape.batchRecords;
+    config.ringCapacity = shape.ringCapacity;
+    ServeEngine engine(schemeConfig(), config);
+    std::vector<std::size_t> handles;
+    for (const auto &[name, trace] : traces)
+        handles.push_back(engine.addTenant(name));
+    ingestInterleaved(engine, traces, handles, shape.span);
+
+    for (std::size_t t = 0; t < traces.size(); ++t) {
+        std::string served;
+        ASSERT_TRUE(engine.snapshotTenant(handles[t], &served));
+        EXPECT_EQ(served, offlineCheckpoint(traces[t].second))
+            << "checkpoint diverged for tenant " << traces[t].first;
+    }
+    EXPECT_EQ(engine.metricsJsonString(),
+              offlineMetricsDocument(traces));
+}
+
+std::vector<SlotShape>
+slotShapes()
+{
+    constexpr std::size_t kSpans[] = {1, 63, 64, 65, 127, 4097};
+    constexpr std::size_t kRings[] = {2, 64, 4096};
+    constexpr std::size_t kBatches[] = {1, 256};
+    std::vector<SlotShape> shapes;
+    for (const std::size_t span : kSpans)
+        for (const std::size_t ring : kRings)
+            for (const std::size_t batch : kBatches)
+                shapes.push_back({span, ring, batch});
+    return shapes;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SlotBoundaryGrid, ServeSlotBoundaries,
+    ::testing::ValuesIn(slotShapes()),
+    [](const ::testing::TestParamInfo<SlotShape> &info) {
+        return "span" + std::to_string(info.param.span) + "_ring" +
+               std::to_string(info.param.ringCapacity) + "_batch" +
+               std::to_string(info.param.batchRecords);
+    });
+
+TEST(ServeEngineTest, TrackedLatencyHasOneSamplePerRecord)
+{
+    // Conditionals are stamped at flush, the other classes once per
+    // slot; either way every ingested record yields one sample.
+    const auto traces = tenantTraces();
+    ServeConfig config;
+    config.shards = 2;
+    config.trackLatency = true;
+    ServeEngine engine(schemeConfig(), config);
+    std::vector<std::size_t> handles;
+    std::size_t records = 0;
+    for (const auto &[name, trace] : traces) {
+        handles.push_back(engine.addTenant(name));
+        records += trace.size();
+    }
+    ingestInterleaved(engine, traces, handles, 65);
+    EXPECT_EQ(engine.takeLatenciesNs().size(), records);
+    EXPECT_TRUE(engine.takeLatenciesNs().empty());
+}
 
 TEST(ServeEngineTest, AccuracyMatchesReferencePredictUpdateLoop)
 {

@@ -4,7 +4,11 @@
  * round trips and trace statistics.
  */
 
+#include <cstdint>
+#include <cstring>
 #include <sstream>
+#include <streambuf>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -152,6 +156,51 @@ TEST(TraceIo, BinaryRejectsTruncation)
         std::stringstream truncated(full.substr(0, cut));
         EXPECT_FALSE(readBinary(truncated).has_value()) << cut;
     }
+}
+
+/** A stream buffer with no seek support, like a pipe. */
+class UnseekableBuffer : public std::streambuf
+{
+  public:
+    explicit UnseekableBuffer(std::string &bytes)
+    {
+        setg(bytes.data(), bytes.data(), bytes.data() + bytes.size());
+    }
+};
+
+TEST(TraceIo, BinaryRejectsHugeRecordCountWithoutAllocating)
+{
+    // The u64 record count sits right before the records. A count of
+    // 2^40 once went straight into reserve() and threw bad_alloc.
+    const TraceBuffer original = sampleTrace();
+    std::stringstream stream;
+    ASSERT_TRUE(writeBinary(original, stream));
+    std::string bytes = stream.str();
+    const std::size_t count_at =
+        bytes.size() - original.size() * kTltrWireRecordSize -
+        sizeof(std::uint64_t);
+    const std::uint64_t huge = std::uint64_t{1} << 40;
+    std::memcpy(bytes.data() + count_at, &huge, sizeof(huge));
+
+    std::stringstream seekable(bytes);
+    EXPECT_FALSE(readBinary(seekable).has_value());
+
+    UnseekableBuffer pipe_buffer(bytes);
+    std::istream pipe(&pipe_buffer);
+    EXPECT_FALSE(readBinary(pipe).has_value());
+}
+
+TEST(TraceIo, BinaryLoadsFromUnseekableStream)
+{
+    const TraceBuffer original = sampleTrace();
+    std::stringstream stream;
+    ASSERT_TRUE(writeBinary(original, stream));
+    std::string bytes = stream.str();
+    UnseekableBuffer pipe_buffer(bytes);
+    std::istream pipe(&pipe_buffer);
+    const auto loaded = readBinary(pipe);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->records(), original.records());
 }
 
 TEST(TraceIo, TextRejectsBadRecords)

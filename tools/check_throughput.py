@@ -40,16 +40,22 @@ sharing the trace, and AHRT index math is cheap enough that SoA
 roughly breaks even there. Absolute records/sec vary wildly across CI
 hosts and are printed but never gated.
 
-Usage:
 The serve-path record (BENCH_serve.json, ``"figure": "serve"``) is
 gated separately against bench/baselines/serve_baseline.json:
-``tenants_per_sec`` may not fall below baseline - tolerance, and
-``p99_latency_ns`` may not rise above baseline + tolerance. The
-absolute records/sec, the served-vs-offline ratio, p50 and peak RSS
-are required to be present and are printed but not gated (they vary
-with host core count — a 1-CPU container time-slices the shard
-workers, a real host runs them in parallel). The document's
-``figure`` field selects the rule set and the default baseline file.
+
+* ``serve_vs_offline`` — served records/sec over one thread's
+  offline simulateBatch records/sec on the same records, median of
+  paired runs. Self-normalizing like the ratios above, so it is the
+  gate that catches a slower serve data plane on any host of the
+  baseline's class; may not fall below baseline - tolerance.
+* ``tenants_per_sec`` may not fall below baseline - tolerance, and
+  ``p99_latency_ns`` may not rise above baseline + tolerance. These
+  absolute floors are set with about 3x headroom, so they only catch
+  gross breakage.
+
+records/sec, offline records/sec, p50 and peak RSS are required to
+be present and are printed but not gated. The document's ``figure``
+field selects the rule set and the default baseline file.
 
 Usage:
     check_throughput.py BENCH_throughput.json [baseline.json]
@@ -91,8 +97,17 @@ def default_baseline(figure):
     )
 
 
+# Serve gates: (scalar, True for a floor at baseline - tolerance,
+# False for a ceiling at baseline + tolerance).
+SERVE_GATES = (
+    ("tenants_per_sec", True),
+    ("serve_vs_offline", True),
+    ("p99_latency_ns", False),
+)
+
+
 def check_serve(measured_path, measured, baseline, tolerance):
-    """Serve-path gates: throughput down-gated, p99 up-gated."""
+    """Serve-path gates: the two rates down-gated, p99 up-gated."""
     for name in (
         "tenants_per_sec",
         "records_per_sec",
@@ -111,35 +126,26 @@ def check_serve(measured_path, measured, baseline, tolerance):
                  if name in baseline else ""))
 
     failed = False
-    floor = float(baseline["tenants_per_sec"]) * (1.0 - tolerance)
-    got = float(measured["tenants_per_sec"])
-    if got < floor:
-        print(
-            f"REGRESSION: tenants_per_sec {got:.3f} is below "
-            f"{floor:.3f} (baseline "
-            f"{float(baseline['tenants_per_sec']):.3f} - "
-            f"{tolerance:.0%})",
-            file=sys.stderr,
-        )
-        failed = True
-    else:
-        print(f"ok: tenants_per_sec {got:.3f} >= floor "
-              f"{floor:.3f}")
-
-    ceiling = float(baseline["p99_latency_ns"]) * (1.0 + tolerance)
-    got = float(measured["p99_latency_ns"])
-    if got > ceiling:
-        print(
-            f"REGRESSION: p99_latency_ns {got:.4g} is above "
-            f"{ceiling:.4g} (baseline "
-            f"{float(baseline['p99_latency_ns']):.4g} + "
-            f"{tolerance:.0%})",
-            file=sys.stderr,
-        )
-        failed = True
-    else:
-        print(f"ok: p99_latency_ns {got:.4g} <= ceiling "
-              f"{ceiling:.4g}")
+    for name, is_floor in SERVE_GATES:
+        want = float(baseline[name])
+        got = float(measured[name])
+        if is_floor:
+            bound = want * (1.0 - tolerance)
+            ok = got >= bound
+        else:
+            bound = want * (1.0 + tolerance)
+            ok = got <= bound
+        if ok:
+            print(f"ok: {name} {got:.4g} "
+                  f"{'>=' if is_floor else '<='} {bound:.4g}")
+        else:
+            print(
+                f"REGRESSION: {name} {got:.4g} is "
+                f"{'below' if is_floor else 'above'} {bound:.4g} "
+                f"(baseline {want:.4g}, tolerance {tolerance:.0%})",
+                file=sys.stderr,
+            )
+            failed = True
     return 1 if failed else 0
 
 

@@ -159,8 +159,33 @@ else
     failures=$((failures + 1))
 fi
 expect 2 "bad --chunk-records value" run BTFN eqntott --chunk-records 0
+
+# A TLTR header whose record count (u64 at byte 60: 12-byte preamble,
+# the 8-byte name "convtest", five u64 mix fields) says 2^40 must be
+# rejected like any truncated file, by the whole-buffer reader and
+# the mmap streamer alike: exit 1, never an allocation failure.
+huge_count="$tmpdir/tlat_cli_huge_count_$$.tltr"
+cp "$conv_bin" "$huge_count"
+printf '\000\000\000\000\000\001\000\000' |
+    dd of="$huge_count" bs=1 seek=60 conv=notrunc 2>/dev/null
+for args in "stats" "run BTFN --no-stream" "run BTFN"; do
+    # $args is unquoted on purpose: it splits into the command words.
+    "$TLAT" $args "$huge_count" >/dev/null 2>"$huge_count.err"
+    got=$?
+    if [ "$got" -ne 1 ]; then
+        echo "FAIL: huge record count ($args): expected exit 1, got $got"
+        failures=$((failures + 1))
+    elif ! grep -q "malformed or truncated" "$huge_count.err"; then
+        echo "FAIL: huge record count ($args) error lacks 'malformed or truncated':"
+        cat "$huge_count.err"
+        failures=$((failures + 1))
+    else
+        echo "ok: huge record count rejected by $args (exit 1)"
+    fi
+done
 rm -f "$conv_txt" "$conv_bin" "$conv_back" "$conv_stream" \
-    "$conv_whole" "$run_stream" "$run_whole"
+    "$conv_whole" "$run_stream" "$run_whole" "$huge_count" \
+    "$huge_count.err"
 
 # run --json emits the schema-tagged document on stdout.
 json=$("$TLAT" run BTFN eqntott --budget 2000 --json 2>/dev/null)

@@ -24,10 +24,12 @@
  *                                      one tenant, streams interleave
  *                                      through the sharded engine
  *                                      (--shards N --batch-records N
- *                                      --ring-capacity N); --json
- *                                      emits the tlat-serve-metrics-v1
- *                                      document, byte-identical for
- *                                      every shard count / batch size
+ *                                      --ring-capacity N, in records,
+ *                                      rounded to 64-record slots);
+ *                                      --json emits the
+ *                                      tlat-serve-metrics-v1 document,
+ *                                      byte-identical for every shard
+ *                                      count / batch size / capacity
  *
  * Common options:
  *   --budget N      conditional-branch budget (default 300000)
@@ -113,7 +115,8 @@ struct Options
     unsigned shards = 1;
     /** `serve`: conditionals per micro-batch flush. */
     std::size_t batchRecords = 64;
-    /** `serve`: per-shard SPSC ring capacity (power of two). */
+    /** `serve`: per-shard SPSC ring capacity in records (power of
+     *  two), rounded to 64-record slots. */
     std::size_t ringCapacity = 4096;
     /** `serve`: directory of trace files to replay as tenants. */
     std::string replay;
@@ -158,10 +161,12 @@ printUsage(std::ostream &os)
            "in DIR\n"
            "                               (--shards N "
            "--batch-records N\n"
-           "                               --ring-capacity N; --json "
-           "emits the\n"
-           "                               tlat-serve-metrics-v1 "
-           "document)\n"
+           "                               --ring-capacity N: records "
+           "per shard ring,\n"
+           "                               a power of two, held in "
+           "64-record slots;\n"
+           "                               --json emits the "
+           "tlat-serve-metrics-v1 document)\n"
            "options: --budget N --data SET --train SRC --out FILE "
            "--jobs N --json\n"
            "         --chunk-records N --no-stream  (run / trace "
