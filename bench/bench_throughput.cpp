@@ -263,6 +263,11 @@ timedRecordsPerSec(const std::string &scheme, DriveMode mode)
     const trace::TraceBuffer &trace = gccTrace();
     const trace::PredecodedView view = trace.predecodedView();
     const auto predictor = predictors::makePredictor(scheme);
+    // Profiled schemes (ST, Profile) measure against their training
+    // on the same trace, like the paper's Same data sets; untrained
+    // they would time an all-taken preset.
+    if (predictor->needsTraining())
+        predictor->train(trace);
 
     const auto pass = [&]() -> std::uint64_t {
         AccuracyCounter accuracy;
@@ -411,6 +416,33 @@ main(int argc, char **argv)
                      comb_fused / comb_reference);
     record.addScalar("comb_soa_records_per_sec", comb_soa);
 
+    // The section 5.3 comparison schemes: each scheme's fast path
+    // (the predecoded view, which BTFN unwraps to its AoS span loop
+    // since only the records carry the target) against its trained
+    // reference loop.
+    const char *const kStScheme = "ST(AHRT(512,12SR),PT(2^12,PB),Same)";
+    const double st_reference =
+        timedRecordsPerSec(kStScheme, DriveMode::Reference);
+    const double st_fused = timedRecordsPerSec(kStScheme, DriveMode::Soa);
+    const double profile_reference =
+        timedRecordsPerSec("Profile", DriveMode::Reference);
+    const double profile_fused =
+        timedRecordsPerSec("Profile", DriveMode::Soa);
+    const double btfn_reference =
+        timedRecordsPerSec("BTFN", DriveMode::Reference);
+    const double btfn_fused = timedRecordsPerSec("BTFN", DriveMode::Soa);
+    record.addScalar("st_reference_records_per_sec", st_reference);
+    record.addScalar("st_fused_records_per_sec", st_fused);
+    record.addScalar("st_fused_speedup", st_fused / st_reference);
+    record.addScalar("profile_reference_records_per_sec",
+                     profile_reference);
+    record.addScalar("profile_fused_records_per_sec", profile_fused);
+    record.addScalar("profile_fused_speedup",
+                     profile_fused / profile_reference);
+    record.addScalar("btfn_reference_records_per_sec", btfn_reference);
+    record.addScalar("btfn_fused_records_per_sec", btfn_fused);
+    record.addScalar("btfn_fused_speedup", btfn_fused / btfn_reference);
+
     // Predecode build cost, expressed in fused-AoS-pass units: how
     // many single-scheme passes one build costs. Sweeps run hundreds
     // of cells per trace, so anything well under 1.0 amortizes away.
@@ -447,6 +479,10 @@ main(int argc, char **argv)
               << " records/sec, speedup: "
               << comb_fused / comb_reference << "x, soa: "
               << comb_soa << " records/sec\n"
+              << "st: " << st_fused / st_reference
+              << "x, profile: " << profile_fused / profile_reference
+              << "x, btfn: " << btfn_fused / btfn_reference
+              << "x fused over trained reference\n"
               << "predecode build: " << predecode_overhead
               << " fused passes\n"
               << "simd(" << util::simd::levelName(

@@ -55,9 +55,10 @@ class BranchPredictor
      * checkpoint bytes, collectMetrics() output — that the reference
      * predict()/record()/update() loop would. The default
      * implementation *is* that reference loop; predictors with a
-     * fused fast path (TwoLevelPredictor, GeneralizedTwoLevel,
-     * LeeSmith) override it and are held to the contract by the
-     * randomized equivalence suite (tests/test_simulate_batch_fuzz).
+     * fused fast path over the span (TwoLevelPredictor,
+     * GeneralizedTwoLevel, LeeSmith, Combining, Btfn) override it and
+     * are held to the contract by the randomized equivalence suite
+     * (tests/test_simulate_batch_fuzz).
      */
     virtual void
     simulateBatch(std::span<const trace::BranchRecord> records,
@@ -78,10 +79,11 @@ class BranchPredictor
      * AoS conditional span they mirror. The default unwraps to the
      * span overload above, so every predictor accepts a predecoded
      * view and only the schemes with a dedicated SoA fast path
-     * (TwoLevelPredictor, GeneralizedTwoLevel, LeeSmith) do anything
-     * different with it. The equivalence contract is the same strict
-     * bit-identity as the span overload, against the same reference
-     * loop — an override may never let the two inputs diverge.
+     * (TwoLevelPredictor, GeneralizedTwoLevel, LeeSmith, Combining,
+     * StaticTraining, Profile) do anything different with it. The
+     * equivalence contract is the same strict bit-identity as the
+     * span overload, against the same reference loop — an override
+     * may never let the two inputs diverge.
      */
     virtual void
     simulateBatch(const trace::PredecodedView &view,

@@ -9,6 +9,14 @@
  *
  * The paper profiles and measures on the same data set, so the
  * reported accuracy is exactly sum(max(taken, not_taken)) / total.
+ *
+ * Training walks the training trace's predecoded lanes
+ * (trace/predecode.hh): counts are tallied per dense branch id and
+ * folded into the pc-keyed map once per unique pc. The measured run
+ * has a fused fast path over a predecoded view that resolves each
+ * unique pc of the view's dictionary to its bit once, then compares
+ * 64 id-indexed predictions at a time against the packed outcome
+ * word.
  */
 
 #ifndef TLAT_PREDICTORS_PROFILE_PREDICTOR_HH
@@ -29,30 +37,28 @@ class ProfilePredictor : public core::BranchPredictor
     std::string name() const override { return "Profile"; }
     bool needsTraining() const override { return true; }
 
-    void
-    train(const trace::TraceBuffer &trace) override
-    {
-        for (const trace::BranchRecord &record : trace.records()) {
-            if (record.cls != trace::BranchClass::Conditional)
-                continue;
-            Counts &counts = counts_[record.pc];
-            if (record.taken)
-                ++counts.taken;
-            else
-                ++counts.notTaken;
-        }
-    }
+    void train(const trace::TraceBuffer &trace) override;
 
     bool
     predict(const trace::BranchRecord &record) override
     {
-        const auto it = counts_.find(record.pc);
-        if (it == counts_.end())
-            return true; // unseen branch: majority prior is taken
-        return it->second.taken >= it->second.notTaken;
+        return predictTaken(record.pc);
     }
 
     void update(const trace::BranchRecord &) override {}
+
+    using core::BranchPredictor::simulateBatch;
+
+    /**
+     * Fused fast path over a predecoded view: one map lookup per
+     * unique pc of the view, then an id-indexed bit per branch,
+     * packed and scored 64 branches per outcome word.
+     * Bit-identical to the predict()/update() loop, which it drops
+     * off to when every branch of the view is a distinct pc (the
+     * per-pc lane would save nothing).
+     */
+    void simulateBatch(const trace::PredecodedView &view,
+                       AccuracyCounter &accuracy) override;
 
     void reset() override { counts_.clear(); }
 
@@ -65,6 +71,16 @@ class ProfilePredictor : public core::BranchPredictor
         std::uint64_t taken = 0;
         std::uint64_t notTaken = 0;
     };
+
+    /** The profiled direction of @p pc; unseen branches: taken. */
+    bool
+    predictTaken(std::uint64_t pc) const
+    {
+        const auto it = counts_.find(pc);
+        if (it == counts_.end())
+            return true; // unseen branch: majority prior is taken
+        return it->second.taken >= it->second.notTaken;
+    }
 
     std::unordered_map<std::uint64_t, Counts> counts_;
 };

@@ -82,7 +82,7 @@ class AlwaysNotTakenPredictor : public StatelessPredictor
  * once per loop — poor on irregular code (paper Figure 9: ~98% on
  * matrix300/tomcatv, often below 70% elsewhere).
  */
-class BtfnPredictor : public StatelessPredictor
+class BtfnPredictor final : public StatelessPredictor
 {
   public:
     std::string name() const override { return "BTFN"; }
@@ -95,6 +95,33 @@ class BtfnPredictor : public StatelessPredictor
 
     void update(const trace::BranchRecord &) override {}
     void reset() override {}
+
+    /**
+     * Fused fast path: the direction test inlined into a tally loop.
+     * BTFN needs the target, which only the AoS records carry, so a
+     * predecoded view reaches this through the base class's
+     * view.records() unwrap. Callers pass conditional-only spans; at
+     * the first non-conditional record the rest of the span drops off
+     * to the reference loop, which owns the class filter.
+     */
+    void
+    simulateBatch(std::span<const trace::BranchRecord> records,
+                  AccuracyCounter &accuracy) override
+    {
+        BatchTally tally(accuracy);
+        for (std::size_t i = 0; i < records.size(); ++i) {
+            const trace::BranchRecord &record = records[i];
+            if (record.cls != trace::BranchClass::Conditional) {
+                tally.flush();
+                BranchPredictor::simulateBatch(records.subspan(i),
+                                               accuracy);
+                return;
+            }
+            tally.record((record.target < record.pc) == record.taken);
+        }
+    }
+
+    using StatelessPredictor::simulateBatch;
 };
 
 } // namespace tlat::predictors

@@ -1,5 +1,6 @@
 #include "static_training.hh"
 
+#include "core/lane_prober.hh"
 #include "util/bitops.hh"
 #include "util/string_utils.hh"
 
@@ -15,6 +16,7 @@ StaticTrainingPredictor::StaticTrainingPredictor(
           lowMask(config.historyBits))),
       counts_(std::size_t{1} << config.historyBits)
 {
+    derivePresetBits();
     const StEntry initial{history_mask_};
     switch (config_.hrtKind) {
       case TableKind::Ideal:
@@ -51,30 +53,39 @@ void
 StaticTrainingPredictor::train(const trace::TraceBuffer &trace)
 {
     // Software profiling: ideal per-branch history, regardless of the
-    // run-time HRT flavour. Histories start all-ones like the HRT.
-    std::unordered_map<std::uint64_t, std::uint32_t> histories;
-    for (const trace::BranchRecord &record : trace.records()) {
-        if (record.cls != trace::BranchClass::Conditional)
-            continue;
-        auto [it, inserted] =
-            histories.try_emplace(record.pc, history_mask_);
-        std::uint32_t &history = it->second;
+    // run-time HRT flavour. Histories start all-ones like the HRT and
+    // live in a dense vector indexed by the predecoded branch id.
+    const std::shared_ptr<const trace::PredecodedTrace> soa =
+        trace.predecoded();
+    std::vector<std::uint32_t> histories(soa->uniquePcCount(),
+                                         history_mask_);
+    const std::span<const trace::BranchId> ids = soa->branchIds();
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        std::uint32_t &history = histories[ids[i]];
+        const bool taken = soa->taken(i);
         PatternCounts &counts = counts_[history];
-        if (record.taken)
-            ++counts.taken;
-        else
-            ++counts.notTaken;
-        history =
-            ((history << 1) | (record.taken ? 1u : 0u)) & history_mask_;
+        counts.taken += taken ? 1 : 0;
+        counts.notTaken += taken ? 0 : 1;
+        history = ((history << 1) | (taken ? 1u : 0u)) & history_mask_;
     }
+    derivePresetBits();
+}
+
+void
+StaticTrainingPredictor::derivePresetBits()
+{
+    // Ties and never-seen patterns predict taken (the 60% prior).
+    preset_.resize(counts_.size());
+    for (std::size_t pattern = 0; pattern < counts_.size(); ++pattern)
+        preset_[pattern] =
+            counts_[pattern].taken >= counts_[pattern].notTaken ? 1
+                                                                : 0;
 }
 
 bool
 StaticTrainingPredictor::presetBit(std::uint32_t pattern) const
 {
-    const PatternCounts &counts = counts_[pattern & history_mask_];
-    // Ties and never-seen patterns predict taken (the 60% prior).
-    return counts.taken >= counts.notTaken;
+    return preset_[pattern & history_mask_] != 0;
 }
 
 StaticTrainingPredictor::StEntry &
@@ -105,10 +116,66 @@ StaticTrainingPredictor::update(const trace::BranchRecord &record)
     last_entry_ = nullptr;
 }
 
+template <typename Prober>
+void
+StaticTrainingPredictor::fusedBatchSoa(Prober &prober,
+                                       const trace::PredecodedTrace &soa,
+                                       AccuracyCounter &accuracy)
+{
+    // One probe per branch, as the reference pair makes through its
+    // predict()/update() memo, so the table statistics match.
+    const std::uint8_t *preset = preset_.data();
+    const std::span<const trace::BranchId> ids = soa.branchIds();
+    BatchTally tally(accuracy);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        StEntry &entry = prober.probe(ids[i]);
+        const bool taken = soa.taken(i);
+        tally.record((preset[entry.history] != 0) == taken);
+        entry.history =
+            ((entry.history << 1) | (taken ? 1u : 0u)) & history_mask_;
+    }
+}
+
+void
+StaticTrainingPredictor::simulateBatch(const trace::PredecodedView &view,
+                                       AccuracyCounter &accuracy)
+{
+    if (last_entry_ != nullptr) {
+        // Mid predict/update pair: the memo models a shared physical
+        // access, so hand off to the reference loop which honours it.
+        BranchPredictor::simulateBatch(view.records(), accuracy);
+        return;
+    }
+    switch (config_.hrtKind) {
+      case TableKind::Ideal: {
+        core::IdealLaneProber<StEntry> prober(
+            static_cast<core::IdealTable<StEntry> &>(*hrt_),
+            view.soa().uniquePcs());
+        fusedBatchSoa(prober, view.soa(), accuracy);
+        break;
+      }
+      case TableKind::Associative: {
+        core::AssociativeLaneProber<StEntry> prober(
+            static_cast<core::AssociativeTable<StEntry> &>(*hrt_),
+            view.soa());
+        fusedBatchSoa(prober, view.soa(), accuracy);
+        break;
+      }
+      case TableKind::Hashed: {
+        core::HashedLaneProber<StEntry> prober(
+            static_cast<core::HashedTable<StEntry> &>(*hrt_),
+            view.soa());
+        fusedBatchSoa(prober, view.soa(), accuracy);
+        break;
+      }
+    }
+}
+
 void
 StaticTrainingPredictor::reset()
 {
     counts_.assign(counts_.size(), PatternCounts{});
+    derivePresetBits();
     hrt_->reset();
     last_pc_ = ~std::uint64_t{0};
     last_entry_ = nullptr;

@@ -15,13 +15,19 @@
  * static branch ideally; the configured HRT implementation applies to
  * the measured run only. Patterns never observed in training predict
  * taken, consistent with the ~60% overall taken rate.
+ *
+ * Training walks the training trace's predecoded lanes
+ * (trace/predecode.hh): a dense per-branch-id history vector stands
+ * in for a pc-keyed map, and the preset bits are derived into a
+ * 2^k-byte lane once per train()/reset(). The measured run has a
+ * fused fast path over a predecoded view: one HRT probe per branch
+ * through the core lane probers, then a preset-lane read.
  */
 
 #ifndef TLAT_PREDICTORS_STATIC_TRAINING_HH
 #define TLAT_PREDICTORS_STATIC_TRAINING_HH
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/branch_predictor.hh"
@@ -59,8 +65,22 @@ class StaticTrainingPredictor : public core::BranchPredictor
     void update(const trace::BranchRecord &record) override;
     void reset() override;
 
+    using core::BranchPredictor::simulateBatch;
+
+    /**
+     * Fused fast path over a predecoded view: one HRT probe per
+     * branch through the lane probers, a preset-lane read, and a
+     * register-resident tally. Bit-identical to the predict()/update()
+     * loop; drops off to it on mid-pair memo state.
+     */
+    void simulateBatch(const trace::PredecodedView &view,
+                       AccuracyCounter &accuracy) override;
+
     /** Preset bit for a pattern (tests; true = predict taken). */
     bool presetBit(std::uint32_t pattern) const;
+
+    /** Run-time HRT access counters (tests). */
+    const core::TableStats &hrtStats() const { return hrt_->stats(); }
 
     const StaticTrainingConfig &config() const { return config_; }
 
@@ -71,6 +91,15 @@ class StaticTrainingPredictor : public core::BranchPredictor
     };
 
     StEntry &lookup(std::uint64_t pc);
+
+    /** Re-derives preset_ from counts_ (after train() and reset()). */
+    void derivePresetBits();
+
+    /** Fused SoA loop body, monomorphized over the lane prober. */
+    template <typename Prober>
+    void fusedBatchSoa(Prober &prober,
+                       const trace::PredecodedTrace &soa,
+                       AccuracyCounter &accuracy);
 
     StaticTrainingConfig config_;
     std::uint32_t history_mask_;
@@ -83,6 +112,9 @@ class StaticTrainingPredictor : public core::BranchPredictor
     };
 
     std::vector<PatternCounts> counts_;
+
+    /** Preset prediction bit per pattern (1 = taken), from counts_. */
+    std::vector<std::uint8_t> preset_;
 
     /** Run-time history registers. */
     std::unique_ptr<core::HistoryTable<StEntry>> hrt_;

@@ -13,10 +13,18 @@ geometricMean(const std::vector<double> &values)
     if (values.empty())
         return 0.0;
     double log_sum = 0.0;
+    bool has_zero = false;
     for (double v : values) {
-        tlat_assert(v > 0.0, "geometric mean requires positive values");
-        log_sum += std::log(v);
+        tlat_assert(v >= 0.0,
+                    "geometric mean requires non-negative values");
+        if (v == 0.0)
+            has_zero = true;
+        else
+            log_sum += std::log(v);
     }
+    // One zero factor zeroes the product (a 0%-accuracy cell).
+    if (has_zero)
+        return 0.0;
     return std::exp(log_sum / static_cast<double>(values.size()));
 }
 

@@ -8,6 +8,7 @@
 #ifndef TLAT_UTIL_STATS_HH
 #define TLAT_UTIL_STATS_HH
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -100,7 +101,78 @@ class AccuracyCounter
     std::uint8_t *capture_ = nullptr;
 };
 
-/** Geometric mean of a set of values; 0 if the set is empty. */
+/**
+ * Register-resident tally for a fused batch loop: hits, total and the
+ * capture cursor live in locals rather than behind the counter's
+ * reference, so a record() is an add and (when capturing) one byte
+ * store, with no read-modify-write of the counter or reload of its
+ * cursor on the loop's critical path. Loops that produce correctness
+ * 64 branches at a time (packed outcome words) use recordWord().
+ * flush() folds the local counts into the counter with one
+ * recordBulk(); the capture bytes were already written through the
+ * same cursor the counter advances.
+ */
+class BatchTally
+{
+  public:
+    explicit BatchTally(AccuracyCounter &accuracy)
+        : accuracy_(accuracy), capture_(accuracy.captureCursor())
+    {
+    }
+
+    BatchTally(const BatchTally &) = delete;
+    BatchTally &operator=(const BatchTally &) = delete;
+
+    ~BatchTally() { flush(); }
+
+    void
+    record(bool correct)
+    {
+        hits_ += correct ? 1 : 0;
+        ++total_;
+        if (capture_ != nullptr)
+            *capture_++ = correct ? 1 : 0;
+    }
+
+    /**
+     * Tallies @p count (1..64) records at once: bit j of @p correct
+     * is record j's correctness; bits from @p count up are ignored.
+     * One popcount replaces @p count record() calls.
+     */
+    void
+    recordWord(std::uint64_t correct, unsigned count)
+    {
+        if (count < 64)
+            correct &= (std::uint64_t{1} << count) - 1;
+        hits_ += static_cast<std::uint64_t>(std::popcount(correct));
+        total_ += count;
+        if (capture_ != nullptr) {
+            for (unsigned j = 0; j < count; ++j)
+                *capture_++ =
+                    static_cast<std::uint8_t>((correct >> j) & 1);
+        }
+    }
+
+    /** Folds the local counts into the counter (idempotent). */
+    void
+    flush()
+    {
+        accuracy_.recordBulk(hits_, total_);
+        hits_ = 0;
+        total_ = 0;
+    }
+
+  private:
+    AccuracyCounter &accuracy_;
+    std::uint8_t *capture_;
+    std::uint64_t hits_ = 0;
+    std::uint64_t total_ = 0;
+};
+
+/**
+ * Geometric mean of a set of non-negative values; 0 if the set is
+ * empty or contains a 0 (a 0% accuracy cell is valid input).
+ */
 double geometricMean(const std::vector<double> &values);
 
 /** Arithmetic mean; 0 if empty. */

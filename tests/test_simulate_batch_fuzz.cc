@@ -22,6 +22,7 @@
  * run, just without cross-level coverage.
  */
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -36,8 +37,12 @@
 #include "harness/experiment.hh"
 #include "harness/metrics_json.hh"
 #include "isa/instruction.hh"
+#include "predictors/profile_predictor.hh"
 #include "predictors/scheme_factory.hh"
+#include "predictors/static_predictors.hh"
+#include "predictors/static_training.hh"
 #include "sim/simulator.hh"
+#include "trace/chunk_stream.hh"
 #include "trace/trace_buffer.hh"
 #include "trace/trace_filter.hh"
 #include "util/random.hh"
@@ -172,23 +177,27 @@ expectBatchEqualsReference(core::BranchPredictor &fast,
                            core::BranchPredictor &scalar_soa,
                            core::BranchPredictor &aos,
                            core::BranchPredictor &reference,
-                           const TraceBuffer &trace)
+                           const TraceBuffer &trace,
+                           const TraceBuffer *train = nullptr)
 {
+    // Schemes that need training profile @p train when given (the
+    // paper's Diff data sets), else the measured trace itself.
+    const TraceBuffer &profile = train ? *train : trace;
     fast.reset();
     scalar_soa.reset();
     aos.reset();
     reference.reset();
     if (fast.needsTraining())
-        fast.train(trace);
+        fast.train(profile);
     if (scalar_soa.needsTraining()) {
         const util::simd::ScopedLevelOverride pin(
             util::simd::Level::Scalar);
-        scalar_soa.train(trace);
+        scalar_soa.train(profile);
     }
     if (aos.needsTraining())
-        aos.train(trace);
+        aos.train(profile);
     if (reference.needsTraining())
-        reference.train(trace);
+        reference.train(profile);
 
     const AccuracyCounter fast_acc = measure(fast, trace);
     const AccuracyCounter soa_acc = measureScalarSoa(scalar_soa, trace);
@@ -714,6 +723,354 @@ TEST(SimulateBatchFuzz, MidPairStateFallsBackToReference)
     EXPECT_EQ(fast_acc.total(), ref_acc.total());
     EXPECT_EQ(metricsJson(fast, fast_acc, trace),
               metricsJson(reference, ref_acc, trace));
+}
+
+/**
+ * A trace sharing about half of @p base's conditional sites: sites
+ * with an odd line number move to a disjoint pc range, and a quarter
+ * of all conditional outcomes flip, so a profile of @p base is a
+ * partly wrong, partly missing profile of this trace (the paper's
+ * Diff data sets). Non-conditional records are copied as they are.
+ */
+TraceBuffer
+makeOverlappingTrace(const TraceBuffer &base, std::uint64_t seed)
+{
+    Rng rng(seed);
+    TraceBuffer trace("overlap-" + std::to_string(seed));
+    for (BranchRecord record : base.records()) {
+        if (record.cls == BranchClass::Conditional) {
+            if ((record.pc >> 2) % 2 == 1) {
+                record.pc += 0x100000;
+                record.target += 0x100000;
+            }
+            if (rng.nextBelow(4) == 0)
+                record.taken = !record.taken;
+        }
+        trace.append(record);
+    }
+    return trace;
+}
+
+/**
+ * A probe of the state a measured run leaves behind in schemes
+ * without table metrics: Static Training's HRT counters, then the
+ * per-branch predictions of a reference-loop pass over @p trace
+ * (history registers, preset and profiled bits).
+ */
+std::string
+stateProbe(core::BranchPredictor &predictor, const TraceBuffer &trace)
+{
+    std::string probe;
+    if (const auto *st =
+            dynamic_cast<const predictors::StaticTrainingPredictor *>(
+                &predictor)) {
+        const core::TableStats &stats = st->hrtStats();
+        probe = std::to_string(stats.hits) + "/" +
+                std::to_string(stats.misses) + "/" +
+                std::to_string(stats.evictions) + "/" +
+                std::to_string(stats.aliasedLookups) + " ";
+    }
+    for (const BranchRecord &record : trace.conditionalView()) {
+        probe.push_back(predictor.predict(record) ? '1' : '0');
+        predictor.update(record);
+    }
+    return probe;
+}
+
+/** The trained schemes with a fused path, one per HRT flavour. */
+constexpr const char *kTrainedSchemes[] = {
+    "ST(IHRT(,6SR),PT(2^6,PB),Diff)",
+    "ST(AHRT(64,6SR),PT(2^6,PB),Diff)",
+    "ST(HHRT(64,6SR),PT(2^6,PB),Diff)",
+    "Profile",
+};
+
+TEST(SimulateBatchFuzz, TrainedSchemesProfiledOnADifferentTrace)
+{
+    // Training and measuring on different traces: pcs seen only in
+    // training, pcs seen only when measuring (unseen: predict taken,
+    // fresh HRT entries) and shared pcs with shifted statistics.
+    for (const std::uint64_t seed : kSeeds) {
+        const TraceBuffer train = makeRandomTrace(seed);
+        const TraceBuffer test = makeOverlappingTrace(train, seed + 100);
+        std::size_t shared = 0;
+        const auto trained = train.predecoded();
+        const auto measured = test.predecoded();
+        for (const std::uint64_t pc : measured->uniquePcs())
+            shared += std::count(trained->uniquePcs().begin(),
+                                 trained->uniquePcs().end(), pc);
+        ASSERT_GT(shared, 0u);
+        ASSERT_LT(shared, measured->uniquePcCount());
+
+        for (const char *scheme : kTrainedSchemes) {
+            const auto config = core::SchemeConfig::parse(scheme);
+            ASSERT_TRUE(config.has_value()) << scheme;
+            const auto fast = predictors::makePredictor(*config);
+            const auto scalar = predictors::makePredictor(*config);
+            const auto aos = predictors::makePredictor(*config);
+            const auto reference = predictors::makePredictor(*config);
+            expectBatchEqualsReference(*fast, *scalar, *aos,
+                                       *reference, test, &train);
+            const std::string want =
+                stateProbe(*reference, test);
+            EXPECT_EQ(stateProbe(*fast, test), want)
+                << scheme << " seed=" << seed;
+            EXPECT_EQ(stateProbe(*scalar, test), want)
+                << scheme << " seed=" << seed;
+            EXPECT_EQ(stateProbe(*aos, test), want)
+                << scheme << " seed=" << seed;
+        }
+    }
+}
+
+TEST(SimulateBatchFuzz, StaticTrainingMidPairStateFallsBackToReference)
+{
+    // As MidPairStateFallsBackToReference, for the Static Training
+    // fast path: a dangling predict() leaves the HRT memo live, and a
+    // batch over the predecoded view must honour it.
+    const TraceBuffer trace = makeRandomTrace(11);
+    const BranchRecord &first = trace.conditionalView().front();
+    for (const char *scheme : kTrainedSchemes) {
+        const auto fast = predictors::makePredictor(scheme);
+        const auto reference = predictors::makePredictor(scheme);
+        fast->train(trace);
+        reference->train(trace);
+
+        (void)fast->predict(first);
+        (void)reference->predict(first);
+        fast->update(first);
+        reference->update(first);
+        (void)fast->predict(first);
+        (void)reference->predict(first);
+
+        AccuracyCounter fast_acc;
+        fast->simulateBatch(trace.predecodedView(), fast_acc);
+        AccuracyCounter ref_acc;
+        for (const BranchRecord &record : trace.conditionalView()) {
+            const bool predicted = reference->predict(record);
+            ref_acc.record(predicted == record.taken);
+            reference->update(record);
+        }
+        EXPECT_EQ(fast_acc.hits(), ref_acc.hits()) << scheme;
+        EXPECT_EQ(fast_acc.total(), ref_acc.total()) << scheme;
+        EXPECT_EQ(stateProbe(*fast, trace),
+                  stateProbe(*reference, trace))
+            << scheme;
+    }
+}
+
+TEST(SimulateBatchFuzz, CombiningWithTrainedAndStaticComponents)
+{
+    // The tournament's fused path runs each component's own batch
+    // with capture attached and replays the chooser over the captured
+    // bytes, so a wrong capture byte from any component's fast path
+    // shows up as a wrong combined accuracy.
+    const char *const schemes[] = {
+        "CMB(ST(AHRT(64,6SR),PT(2^6,PB),Diff),Profile,CT(2^6))",
+        "CMB(BTFN,ST(IHRT(,6SR),PT(2^6,PB),Diff),CT(2^6))",
+        "CMB(Profile,BTFN,CT(2^6))",
+        "CMB(AT(AHRT(64,6SR),PT(2^6,A2),),"
+        "ST(HHRT(64,6SR),PT(2^6,PB),Diff),CT(2^6))",
+    };
+    for (const std::uint64_t seed : kSeeds) {
+        const TraceBuffer train = makeRandomTrace(seed);
+        const TraceBuffer test = makeOverlappingTrace(train, seed + 100);
+        for (const char *scheme : schemes) {
+            const auto config = core::SchemeConfig::parse(scheme);
+            ASSERT_TRUE(config.has_value()) << scheme;
+            const auto fast = predictors::makePredictor(*config);
+            const auto scalar = predictors::makePredictor(*config);
+            const auto aos = predictors::makePredictor(*config);
+            const auto reference = predictors::makePredictor(*config);
+            expectBatchEqualsReference(*fast, *scalar, *aos,
+                                       *reference, test, &train);
+            expectBatchEqualsReference(*fast, *scalar, *aos,
+                                       *reference, test);
+        }
+    }
+}
+
+/** Per-branch correctness bytes of one batch run with capture on. */
+std::vector<std::uint8_t>
+capturedBatch(core::BranchPredictor &predictor,
+              const trace::PredecodedView &view)
+{
+    std::vector<std::uint8_t> bytes(view.records().size(), 0xee);
+    AccuracyCounter accuracy;
+    accuracy.captureInto(bytes.data());
+    predictor.simulateBatch(view, accuracy);
+    EXPECT_EQ(accuracy.captureCursor(), bytes.data() + bytes.size());
+    return bytes;
+}
+
+/** The same bytes from the per-record reference loop. */
+std::vector<std::uint8_t>
+capturedReference(core::BranchPredictor &predictor,
+                  std::span<const BranchRecord> records)
+{
+    std::vector<std::uint8_t> bytes;
+    for (const BranchRecord &record : records) {
+        if (record.cls != BranchClass::Conditional)
+            continue;
+        bytes.push_back(predictor.predict(record) == record.taken);
+        predictor.update(record);
+    }
+    return bytes;
+}
+
+TEST(SimulateBatchFuzz, FastPathCaptureBytesMatchReference)
+{
+    for (const std::uint64_t seed : kSeeds) {
+        const TraceBuffer train = makeRandomTrace(seed);
+        const TraceBuffer test = makeOverlappingTrace(train, seed + 100);
+        for (const char *scheme :
+             {"ST(IHRT(,6SR),PT(2^6,PB),Diff)",
+              "ST(AHRT(64,6SR),PT(2^6,PB),Diff)",
+              "ST(HHRT(64,6SR),PT(2^6,PB),Diff)", "Profile", "BTFN"}) {
+            const auto fast = predictors::makePredictor(scheme);
+            const auto reference = predictors::makePredictor(scheme);
+            fast->train(train);
+            reference->train(train);
+            EXPECT_EQ(capturedBatch(*fast, test.predecodedView()),
+                      capturedReference(*reference, test.records()))
+                << scheme << " seed=" << seed;
+        }
+    }
+}
+
+TEST(SimulateBatchFuzz, BtfnMixedSpanDropsOffToReference)
+{
+    // BTFN's fused loop expects a conditional-only span; from the
+    // first non-conditional record on, the reference loop takes the
+    // rest. Counts and capture bytes must not notice the hand-over.
+    for (const std::uint64_t seed : kSeeds) {
+        const TraceBuffer trace = makeRandomTrace(seed);
+        // Start at a conditional so the fused loop runs before the
+        // hand-over; the random trace has noise records further on.
+        std::span<const BranchRecord> span = trace.records();
+        while (span.front().cls != BranchClass::Conditional)
+            span = span.subspan(1);
+        predictors::BtfnPredictor reference;
+        const std::vector<std::uint8_t> want =
+            capturedReference(reference, span);
+        ASSERT_LT(want.size(), span.size());
+
+        predictors::BtfnPredictor fast;
+        std::vector<std::uint8_t> bytes(want.size(), 0xee);
+        AccuracyCounter fast_acc;
+        fast_acc.captureInto(bytes.data());
+        fast.simulateBatch(span, fast_acc);
+        EXPECT_EQ(bytes, want) << "seed=" << seed;
+        EXPECT_EQ(fast_acc.total(), want.size());
+        EXPECT_EQ(fast_acc.hits(),
+                  static_cast<std::uint64_t>(
+                      std::count(want.begin(), want.end(), 1)));
+        EXPECT_EQ(fast_acc.captureCursor(), bytes.data() + bytes.size());
+    }
+}
+
+TEST(SimulateBatchFuzz, TrainedSchemesChunkedEqualWholeBuffer)
+{
+    // Streaming delivers each chunk with its own dictionary and calls
+    // simulateBatch once per chunk; single-record chunks take every
+    // scheme's drop-off (Profile) or first-touch (ST IHRT) path on
+    // every branch. State carried across chunks must make the
+    // concatenation equal one whole-buffer run.
+    const TraceBuffer train = makeRandomTrace(5, 20000);
+    const TraceBuffer test = makeOverlappingTrace(
+        makeRandomTrace(5, 140000), 105);
+    ASSERT_GT(test.size(), std::size_t{2} * 65536);
+    for (const char *scheme : kTrainedSchemes) {
+        const auto whole = predictors::makePredictor(scheme);
+        whole->train(train);
+        const AccuracyCounter whole_acc = measure(*whole, test);
+        const std::string whole_state = stateProbe(*whole, test);
+        for (const std::size_t chunk : {std::size_t{1},
+                                        std::size_t{65536}}) {
+            const auto chunked = predictors::makePredictor(scheme);
+            chunked->train(train);
+            trace::BufferChunkStream stream(test, chunk);
+            const AccuracyCounter chunked_acc =
+                harness::measureStream(*chunked, stream);
+            EXPECT_EQ(chunked_acc.hits(), whole_acc.hits())
+                << scheme << " chunk=" << chunk;
+            EXPECT_EQ(chunked_acc.total(), whole_acc.total())
+                << scheme << " chunk=" << chunk;
+            EXPECT_EQ(stateProbe(*chunked, test), whole_state)
+                << scheme << " chunk=" << chunk;
+        }
+    }
+}
+
+/** One conditional site at @p pc with the given outcome sequence. */
+TraceBuffer
+makeSiteTrace(const std::string &name, std::uint64_t pc,
+              std::initializer_list<bool> outcomes)
+{
+    TraceBuffer trace(name);
+    for (const bool taken : outcomes) {
+        BranchRecord record;
+        record.pc = pc;
+        record.target = pc + 64;
+        record.cls = BranchClass::Conditional;
+        record.taken = taken;
+        trace.append(record);
+    }
+    return trace;
+}
+
+TEST(SimulateBatchFuzz, TrainingTwiceAccumulates)
+{
+    // Two train() calls add their tallies; the second profile does
+    // not replace the first. Histories restart per training trace.
+    constexpr std::uint64_t kPc = 0x4000;
+    const TraceBuffer mostly_not_taken = makeSiteTrace(
+        "nt", kPc, {false, false, false, false, false});
+    const TraceBuffer mostly_taken = makeSiteTrace(
+        "t", kPc, {false, false, true, true, true, true});
+
+    // 2-bit histories from all-ones: the first trace books pattern 00
+    // as not taken three times, the second as taken once.
+    predictors::StaticTrainingConfig st_config;
+    st_config.hrtKind = core::TableKind::Ideal;
+    st_config.historyBits = 2;
+    predictors::StaticTrainingPredictor st_once(st_config);
+    predictors::StaticTrainingPredictor st_twice(st_config);
+    st_once.train(mostly_taken);
+    st_twice.train(mostly_not_taken);
+    st_twice.train(mostly_taken);
+    EXPECT_TRUE(st_once.presetBit(0b00));
+    EXPECT_FALSE(st_twice.presetBit(0b00));
+
+    predictors::ProfilePredictor profile_once;
+    predictors::ProfilePredictor profile_twice;
+    profile_once.train(mostly_taken);
+    profile_twice.train(makeSiteTrace("nt3", kPc, {false, false, false}));
+    profile_twice.train(makeSiteTrace("t2", kPc, {true, true}));
+    const BranchRecord probe = mostly_taken.conditionalView().front();
+    EXPECT_TRUE(profile_once.predict(probe));
+    EXPECT_FALSE(profile_twice.predict(probe));
+
+    // The fast path reads the accumulated profile like the reference
+    // loop does.
+    const TraceBuffer train_a = makeRandomTrace(21);
+    const TraceBuffer train_b = makeOverlappingTrace(train_a, 22);
+    const TraceBuffer test = makeOverlappingTrace(train_b, 23);
+    for (const char *scheme : kTrainedSchemes) {
+        const auto fast = predictors::makePredictor(scheme);
+        const auto reference = predictors::makePredictor(scheme);
+        for (core::BranchPredictor *predictor :
+             {fast.get(), reference.get()}) {
+            predictor->train(train_a);
+            predictor->train(train_b);
+        }
+        const AccuracyCounter fast_acc = measure(*fast, test);
+        const AccuracyCounter ref_acc = measureReference(*reference, test);
+        EXPECT_EQ(fast_acc.hits(), ref_acc.hits()) << scheme;
+        EXPECT_EQ(fast_acc.total(), ref_acc.total()) << scheme;
+        EXPECT_EQ(stateProbe(*fast, test), stateProbe(*reference, test))
+            << scheme;
+    }
 }
 
 TEST(SimulateBatchFuzz, EmptyTraceYieldsZeroAccuracyNotNaN)

@@ -76,6 +76,60 @@ TEST(GeometricMean, KnownValues)
     EXPECT_NEAR(geometricMean({2.0, 4.0, 8.0}), 4.0, 1e-12);
 }
 
+TEST(GeometricMean, ZeroFactorGivesZero)
+{
+    // A 0%-accuracy cell (AlwaysNotTaken on an all-taken trace) is
+    // valid input: the product, and so the mean, is 0.
+    EXPECT_DOUBLE_EQ(geometricMean({0.0}), 0.0);
+    EXPECT_DOUBLE_EQ(geometricMean({90.0, 0.0, 60.0}), 0.0);
+    EXPECT_DEATH(geometricMean({0.0, -1.0}), "non-negative");
+}
+
+TEST(BatchTally, MatchesPerRecordCounterIncludingCapture)
+{
+    const bool outcomes[] = {true, false, true, true, false};
+    std::uint8_t tallied[5] = {};
+    std::uint8_t recorded[5] = {};
+    AccuracyCounter via_tally;
+    AccuracyCounter via_record;
+    via_tally.captureInto(tallied);
+    via_record.captureInto(recorded);
+    {
+        BatchTally tally(via_tally);
+        for (const bool correct : outcomes)
+            tally.record(correct);
+    }
+    for (const bool correct : outcomes)
+        via_record.record(correct);
+    EXPECT_EQ(via_tally.hits(), via_record.hits());
+    EXPECT_EQ(via_tally.total(), via_record.total());
+    EXPECT_EQ(via_tally.captureCursor() - tallied, 5);
+    EXPECT_EQ(std::vector<std::uint8_t>(tallied, tallied + 5),
+              std::vector<std::uint8_t>(recorded, recorded + 5));
+}
+
+TEST(BatchTally, RecordWordCountsOnlyTheLowBits)
+{
+    // Records 0, 2 and 3 correct; bits above count are garbage the
+    // tally must ignore.
+    std::vector<std::uint8_t> bytes(70, 0xee);
+    AccuracyCounter accuracy;
+    accuracy.captureInto(bytes.data());
+    {
+        BatchTally tally(accuracy);
+        tally.recordWord(0xfff0'0000'0000'000dULL, 5);
+        tally.recordWord(~std::uint64_t{0}, 64);
+    }
+    EXPECT_EQ(accuracy.total(), 69u);
+    EXPECT_EQ(accuracy.hits(), 67u);
+    EXPECT_EQ(accuracy.captureCursor(), bytes.data() + 69);
+    EXPECT_EQ(std::vector<std::uint8_t>(bytes.begin(),
+                                        bytes.begin() + 5),
+              (std::vector<std::uint8_t>{1, 0, 1, 1, 0}));
+    EXPECT_EQ(bytes[68], 1);
+    EXPECT_EQ(bytes[69], 0xee);
+}
+
 TEST(GeometricMean, IsBelowArithmeticForUnequalValues)
 {
     const std::vector<double> values = {90.0, 99.0, 60.0};

@@ -6,7 +6,7 @@ BENCH_throughput.json against the committed baseline
 (bench/baselines/throughput_baseline.json) and fails on a >15%
 regression.
 
-Two ratios are gated; both are self-normalizing (measured against a
+Six ratios are gated; all are self-normalizing (measured against a
 sibling leg of the same run on the same host), so they only drop when
 the fast path itself gets slower relative to its twin — exactly the
 regressions these gates exist to catch:
@@ -27,6 +27,11 @@ regressions these gates exist to catch:
   the acceptance bar for shipping the vector kernels. On scalar-only
   hosts both legs run the same code, so the ratio is only required
   to stay near 1.0 (>= 0.85) and the baseline comparison is skipped.
+* ``st_fused_speedup``, ``profile_fused_speedup`` and
+  ``btfn_fused_speedup`` — the paper's section 5.3 comparison schemes
+  (Static Training over an AHRT, Profile, BTFN): each scheme's fast
+  path over its trained reference predict()/update() loop on the
+  same trace. Plain floors at baseline - tolerance.
 
 ``comb_fused_speedup`` (the tournament scheme's fused path over its
 reference loop — the chooser-replay design keeps this near the
@@ -190,6 +195,15 @@ def main(argv):
         "comb_fused_records_per_sec",
         "comb_fused_speedup",
         "comb_soa_records_per_sec",
+        "st_reference_records_per_sec",
+        "st_fused_records_per_sec",
+        "st_fused_speedup",
+        "profile_reference_records_per_sec",
+        "profile_fused_records_per_sec",
+        "profile_fused_speedup",
+        "btfn_reference_records_per_sec",
+        "btfn_fused_records_per_sec",
+        "btfn_fused_speedup",
         "predecode_overhead",
         "simd_records_per_sec",
         "simd_scalar_records_per_sec",
@@ -211,6 +225,9 @@ def main(argv):
         ("fused_speedup", None),
         ("soa_speedup", SOA_SPEEDUP_HARD_FLOOR),
         ("simd_speedup", SIMD_SPEEDUP_HARD_FLOOR),
+        ("st_fused_speedup", None),
+        ("profile_fused_speedup", None),
+        ("btfn_fused_speedup", None),
     ):
         if name == "simd_speedup" and not simd_active:
             got = float(measured[name])

@@ -288,6 +288,21 @@ else
 fi
 rm -f "$cmp_base.j1" "$cmp_base.j4" "$cmp_base.j8"
 
+# A 0%-accuracy cell is valid input to the geometric-mean rows: a
+# one-branch budget leaves AlwaysNotTaken at 0.00 on some benchmarks,
+# and the means must print 0 rather than abort.
+zero_out=$("$TLAT" compare --budget 1 AlwaysNotTaken 2>/dev/null)
+got=$?
+if [ "$got" -ne 0 ]; then
+    echo "FAIL: compare with a 0% cell: expected exit 0, got $got"
+    failures=$((failures + 1))
+elif ! printf '%s\n' "$zero_out" | grep -q "Tot G Mean"; then
+    echo "FAIL: compare with a 0% cell printed no table"
+    failures=$((failures + 1))
+else
+    echo "ok: compare with a 0% cell prints the table (exit 0)"
+fi
+
 # serve: the multi-tenant engine behind --replay shares the exit-code
 # contract (0 ok, 1 runtime, 2 usage) and emits tlat-serve-metrics-v1.
 expect 2 "serve without --replay" serve BTFN

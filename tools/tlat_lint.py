@@ -143,6 +143,9 @@ BATCH_TWIN_MANIFEST = {
     "GeneralizedTwoLevelPredictor": "src/core/generalized_two_level.cc",
     "LeeSmithPredictor": "src/predictors/lee_smith_btb.cc",
     "CombiningPredictor": "src/core/combining_predictor.cc",
+    "StaticTrainingPredictor": "src/predictors/static_training.cc",
+    "ProfilePredictor": "src/predictors/profile_predictor.cc",
+    "BtfnPredictor": "src/predictors/static_predictors.hh",
 }
 
 # String literals that version an on-disk schema: each may be defined
