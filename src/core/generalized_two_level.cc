@@ -5,6 +5,7 @@
 
 #include "checkpoint.hh"
 #include "contracts.hh"
+#include "lane_prober.hh"
 #include "util/bitops.hh"
 #include "util/logging.hh"
 #include "util/string_utils.hh"
@@ -218,9 +219,68 @@ GeneralizedTwoLevelPredictor::fusedBatchSoa(
 }
 
 void
+GeneralizedTwoLevelPredictor::globalTableLanePass(
+    const trace::PredecodedTrace &soa,
+    const util::simd::FusedLuts &luts, AccuracyCounter &accuracy)
+{
+    const std::uint32_t mask = history_mask_;
+    const std::span<const trace::BranchId> ids = soa.branchIds();
+    const std::span<const std::uint64_t> pcs = soa.uniquePcs();
+    std::vector<std::uint32_t> xor_terms(pcs.size());
+    for (std::size_t id = 0; id < pcs.size(); ++id)
+        xor_terms[id] = patternFor(0, pcs[id]);
+    std::uint8_t *states = fixed_tables_[0].statesData();
+    const auto advance = [&soa, mask](std::uint32_t &history,
+                                      std::size_t i) {
+        history =
+            ((history << 1) | (soa.taken(i) ? 1u : 0u)) & mask;
+    };
+    if (config_.historyScope == HistoryScope::Global) {
+        // One register: keep it local rather than chase a pointer.
+        std::uint32_t history = global_history_;
+        fusedLanePass(
+            soa,
+            [&](std::size_t i) {
+                const std::uint32_t pattern =
+                    history ^ xor_terms[ids[i]];
+                advance(history, i);
+                return pattern;
+            },
+            states, luts, accuracy);
+        global_history_ = history;
+        return;
+    }
+    // Each unique branch resolves its register in id order — ids are
+    // assigned at first appearance, the moment the reference loop
+    // would insert it into the per-address map, so demand-grown state
+    // is created in the identical order.
+    std::vector<std::uint32_t *> histories(pcs.size());
+    for (std::size_t id = 0; id < pcs.size(); ++id)
+        histories[id] = &historyFor(pcs[id]);
+    fusedLanePass(
+        soa,
+        [&](std::size_t i) {
+            const trace::BranchId id = ids[i];
+            const std::uint32_t pattern = *histories[id] ^ xor_terms[id];
+            advance(*histories[id], i);
+            return pattern;
+        },
+        states, luts, accuracy);
+}
+
+void
 GeneralizedTwoLevelPredictor::simulateBatch(
     const trace::PredecodedView &view, AccuracyCounter &accuracy)
 {
+    // Every history scope evolves independently of the predictions,
+    // so with one global pattern table the whole batch is a lane
+    // pass.
+    if (config_.patternScope == PatternScope::Global) {
+        if (const auto luts = fusedLutsFor(config_.automaton)) {
+            globalTableLanePass(view.soa(), *luts, accuracy);
+            return;
+        }
+    }
     switch (config_.automaton) {
       case AutomatonKind::LastTime:
         fusedBatchSoa(AutomatonOps<AutomatonKind::LastTime>{}, view,

@@ -38,6 +38,7 @@
 
 #include "branch_predictor.hh"
 #include "pattern_table.hh"
+#include "util/simd.hh"
 
 namespace tlat::core
 {
@@ -102,7 +103,9 @@ class GeneralizedTwoLevelPredictor : public BranchPredictor
      * branch is resolved once per batch into dense id-indexed lanes
      * (the per-address scopes otherwise pay an unordered_map probe
      * per dynamic branch), and outcomes stream from the packed
-     * bitvector. Same bit-equivalence contract as the AoS overload.
+     * bitvector. With a global pattern table the batch runs as one
+     * lane pass (globalTableLanePass). Same bit-equivalence contract
+     * as the AoS overload.
      */
     void simulateBatch(const trace::PredecodedView &view,
                        AccuracyCounter &accuracy) override;
@@ -137,6 +140,16 @@ class GeneralizedTwoLevelPredictor : public BranchPredictor
     void fusedBatch(const Ops &ops,
                     std::span<const trace::BranchRecord> records,
                     AccuracyCounter &accuracy);
+
+    /**
+     * The global-pattern-table scopes (GAg, PAg, SAg, gshare) as one
+     * lane pass (core/lane_prober.hh): registers resolved once per
+     * unique branch, PT indexes built per L1 tile, the automaton
+     * steps run by util::simd::fusedPass.
+     */
+    void globalTableLanePass(const trace::PredecodedTrace &soa,
+                             const util::simd::FusedLuts &luts,
+                             AccuracyCounter &accuracy);
 
     /** SoA twin of fusedBatch (lazy per-unique-branch scope lanes). */
     template <AutomatonPolicy Ops>

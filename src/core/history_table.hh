@@ -33,8 +33,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include "trace/predecode.hh"
 #include "util/bitops.hh"
 #include "util/logging.hh"
+#include "util/lru.hh"
 
 namespace tlat::core
 {
@@ -283,7 +285,8 @@ class IdealTable : public HistoryTable<Entry>
 };
 
 /**
- * AHRT: set-associative with tags and LRU.
+ * AHRT: set-associative with tags and LRU (the replacement rule is
+ * util::lruAccess, shared with trace::PredecodedTrace::ahrtResolution).
  *
  * Branch addresses are instruction-aligned, so the low
  * @p addr_shift bits (2 for micro88's 4-byte instructions) are dropped
@@ -310,6 +313,7 @@ class AssociativeTable : public HistoryTable<Entry>
         tlat_assert(isPowerOfTwo(num_sets_),
                     "set count must be a power of two, got ",
                     num_sets_);
+        set_bits_ = floorLog2(num_sets_);
         reset();
     }
 
@@ -324,47 +328,102 @@ class AssociativeTable : public HistoryTable<Entry>
     lookupDirect(std::uint64_t pc)
     {
         const std::uint64_t line = pc >> addr_shift_;
+        // tag = line / sets, as a shift: the set count is a power of
+        // two, and a 64-bit divide per probe is most of the probe.
         return lookupWithSetTag(line & (num_sets_ - 1),
-                                line / num_sets_);
+                                line >> set_bits_);
     }
 
     /**
-     * Probe with the set/tag pair already derived — the SoA fast path
-     * reads both from a per-geometry index lane
-     * (trace::PredecodedTrace::ahrtLane) computed once per unique PC
-     * instead of once per dynamic branch. Behaviour and statistics
-     * are identical to lookupDirect (which now delegates here).
+     * Probe with the set/tag pair already derived — a warm Static
+     * Training batch derives both once per unique PC instead of once
+     * per dynamic branch. Behaviour and statistics are identical to
+     * lookupDirect (which delegates here).
      */
     Entry &
-    lookupWithSetTag(std::size_t set, std::uint64_t tag)
+    lookupWithSetTag(std::size_t set_index, std::uint64_t tag)
     {
-        Way *ways = &ways_store_[set * ways_];
-
-        ++tick_;
-        Way *victim = &ways[0];
-        for (unsigned w = 0; w < ways_; ++w) {
-            if (ways[w].valid && ways[w].tag == tag) {
-                ++this->stats_.hits;
-                ways[w].lastUse = tick_;
-                return ways[w].entry;
+        Way *set = &ways_store_[set_index * ways_];
+        const util::LruAccess<Way> access =
+            util::lruAccess(set, ways_, tag, ++tick_);
+        if (access.hit) {
+            ++this->stats_.hits;
+        } else {
+            // Miss: the LRU way was re-allocated. Per the paper, the
+            // payload is *not* re-initialized — when the victim was
+            // live, the new branch inherits foreign history (eviction
+            // + aliasing).
+            ++this->stats_.misses;
+            if (access.evicted) {
+                ++this->stats_.evictions;
+                ++this->stats_.aliasedLookups;
             }
-            if (ways[w].lastUse < victim->lastUse)
-                victim = &ways[w];
         }
-
-        // Miss: re-allocate the LRU way. Per the paper, the payload is
-        // *not* re-initialized — when the victim was live, the new
-        // branch inherits foreign history (eviction + aliasing).
-        ++this->stats_.misses;
-        if (victim->valid) {
-            ++this->stats_.evictions;
-            ++this->stats_.aliasedLookups;
-        }
-        victim->valid = true;
-        victim->tag = tag;
-        victim->lastUse = tick_;
-        return victim->entry;
+        return access.way->entry;
     }
+
+    /**
+     * True while the replacement state is that of a freshly reset
+     * table: tick 0 and every way invalid (with tag and recency 0).
+     * Only then does a trace's AHRT resolution, which replays the
+     * LRU rule from exactly that state, describe this table.
+     */
+    bool
+    replacementCold() const
+    {
+        if (tick_ != 0)
+            return false;
+        return std::all_of(ways_store_.begin(), ways_store_.end(),
+                           [](const Way &way) {
+                               return !way.valid && way.tag == 0 &&
+                                      way.lastUse == 0;
+                           });
+    }
+
+    /** Payload of table slot @p slot (set * ways + way). */
+    Entry &entryAt(std::size_t slot) { return ways_store_[slot].entry; }
+
+    /** Number of slots (sets * ways). */
+    std::size_t slotCount() const { return ways_store_.size(); }
+
+    /**
+     * Commits a resolution replayed over a batch this cold table has
+     * just served through a lane pass (the payloads already written
+     * back by slot): its way image, tick and access counts become the
+     * table's, exactly as if the batch had been probed record by
+     * record. Requires replacementCold() and a matching geometry.
+     */
+    void
+    adopt(const trace::AhrtResolution &resolution)
+    {
+        tlat_assert(resolution.image.size() == ways_store_.size(),
+                    "AHRT resolution geometry mismatch");
+        for (std::size_t slot = 0; slot < ways_store_.size(); ++slot) {
+            const util::LruWay &way = resolution.image[slot];
+            ways_store_[slot].tag = way.tag;
+            ways_store_[slot].lastUse = way.lastUse;
+            ways_store_[slot].valid = way.valid;
+        }
+        tick_ = resolution.tick;
+        this->stats_.hits += resolution.hits;
+        this->stats_.misses += resolution.misses;
+        this->stats_.evictions += resolution.evictions;
+        this->stats_.aliasedLookups += resolution.evictions;
+    }
+
+    /** Replacement state of every way, set-major (tests). */
+    std::vector<util::LruWay>
+    replacementImage() const
+    {
+        std::vector<util::LruWay> image;
+        image.reserve(ways_store_.size());
+        for (const Way &way : ways_store_)
+            image.push_back(util::LruWay{way.tag, way.lastUse, way.valid});
+        return image;
+    }
+
+    /** The access clock (tests). */
+    std::uint64_t tick() const { return tick_; }
 
     TableKind kind() const override { return TableKind::Associative; }
 
@@ -434,6 +493,7 @@ class AssociativeTable : public HistoryTable<Entry>
     unsigned addr_shift_;
     Entry initial_;
     std::size_t num_sets_ = 0;
+    unsigned set_bits_ = 0;
     std::vector<Way> ways_store_;
     std::uint64_t tick_ = 0;
 };

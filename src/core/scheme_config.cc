@@ -70,8 +70,21 @@ parseHistoryClause(const std::string &clause, SchemeConfig &config,
             return false;
         config.hrtEntries = 0;
     } else {
+        // Only geometries the tables can build: an HHRT indexes by
+        // low bits (power-of-two size), an AHRT needs whole sets and
+        // a power-of-two set count, and both stop at 2^24 entries
+        // (CMB's chooser cap) so a hostile size cannot ask for an
+        // allocation out of proportion to the scheme string.
         const auto entries = parseSize(size_text);
-        if (!entries || *entries == 0)
+        if (!entries || *entries == 0 ||
+            *entries > (std::uint64_t{1} << 24))
+            return false;
+        if (config.hrtKind == TableKind::Hashed &&
+            !isPowerOfTwo(*entries))
+            return false;
+        if (config.hrtKind == TableKind::Associative &&
+            (*entries % config.associativity != 0 ||
+             !isPowerOfTwo(*entries / config.associativity)))
             return false;
         config.hrtEntries = *entries;
     }

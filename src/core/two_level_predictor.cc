@@ -32,49 +32,6 @@ makePatternTable(const TwoLevelConfig &config)
                         config.automatonInitState);
 }
 
-/**
- * Flattens the configured pattern-entry policy into the 16-entry
- * nibble LUTs the SIMD kernels shuffle through, or nullopt when the
- * policy does not fit (counters wider than 4 bits) or is not one the
- * SoA dispatch handles (mirroring dispatchAutomatonSoa's fallback
- * set, so SIMD eligibility never exceeds scalar-SoA eligibility).
- */
-std::optional<util::simd::FusedLuts>
-buildFusedLuts(const TwoLevelConfig &config)
-{
-    util::simd::FusedLuts luts{};
-    if (config.counterBits > 0) {
-        if (config.counterBits > 4)
-            return std::nullopt;
-        const CounterOps ops(config.counterBits);
-        const unsigned states = 1u << config.counterBits;
-        for (unsigned s = 0; s < states; ++s) {
-            const auto state = static_cast<std::uint8_t>(s);
-            luts.predict[s] = ops.predict(state) ? 1 : 0;
-            luts.nextTaken[s] = ops.next(state, true);
-            luts.nextNotTaken[s] = ops.next(state, false);
-        }
-        return luts;
-    }
-    switch (config.automaton) {
-      case AutomatonKind::LastTime:
-      case AutomatonKind::A1:
-      case AutomatonKind::A2:
-      case AutomatonKind::A3:
-      case AutomatonKind::A4:
-        break;
-      default:
-        return std::nullopt;
-    }
-    const AutomatonSpec &spec = automatonSpec(config.automaton);
-    for (unsigned s = 0; s < spec.numStates; ++s) {
-        luts.predict[s] = spec.predictTaken[s] ? 1 : 0;
-        luts.nextTaken[s] = spec.nextState[s][1];
-        luts.nextNotTaken[s] = spec.nextState[s][0];
-    }
-    return luts;
-}
-
 } // namespace
 
 TwoLevelPredictor::TwoLevelPredictor(const TwoLevelConfig &config)
@@ -420,75 +377,96 @@ TwoLevelPredictor::dispatchAutomatonSoa(
 }
 
 bool
-TwoLevelPredictor::trySimdBatch(const trace::PredecodedView &view,
-                                AccuracyCounter &accuracy)
+TwoLevelPredictor::tryLanePass(const trace::PredecodedView &view,
+                               AccuracyCounter &accuracy)
 {
     if (config_.cachedPredictionBit ||
         config_.speculativeHistoryUpdate)
         return false;
-    if (util::simd::activeLevel() == util::simd::Level::Scalar)
-        return false;
-    const auto luts = buildFusedLuts(config_);
+    const auto luts =
+        fusedLutsFor(config_.automaton, config_.counterBits);
     if (!luts)
         return false;
 
     const trace::PredecodedTrace &soa = view.soa();
     const std::span<const trace::BranchId> ids = soa.branchIds();
-    const std::size_t n = ids.size();
-    auto &table = static_cast<IdealTable<HrtEntry> &>(*hrt_);
-    if (n == 0)
-        return true;
-
-    // Prologue: resolve each unique pc exactly once, in id order —
-    // ids are assigned at first appearance, so this is the order the
-    // reference loop first touches them — then account the remaining
-    // n - unique probes as repeat hits. Totals match the per-record
-    // loop's probe statistics exactly.
-    const std::span<const std::uint64_t> pcs = soa.uniquePcs();
-    const std::size_t unique = pcs.size();
-    std::vector<HrtEntry *> entries(unique);
-    std::vector<std::uint32_t> history(unique);
-    for (std::size_t id = 0; id < unique; ++id) {
-        entries[id] = &table.lookupDirect(pcs[id]);
-        history[id] = entries[id]->history;
-    }
-    table.noteRepeatHits(n - unique);
-
-    // Non-speculative history evolution is prediction-independent, so
-    // every record's PT index is known before simulating: replay the
-    // shift registers, scalar, into a dense index lane. The replay is
-    // tiled so the lane stays L1-resident between its write (here)
-    // and its read (the kernel) instead of round-tripping an
-    // n-record buffer through L2/L3; the tile is a multiple of 64
-    // records so each kernel call still starts on an outcome-word
-    // boundary (fusedPass indexes outcome bits from its own base).
-    constexpr std::size_t kTile = 4096;
-    static_assert(kTile % 64 == 0);
     const std::uint32_t mask = history_mask_;
-    std::uint32_t lane[kTile + util::simd::kLaneSlack] = {};
-    const std::uint64_t *outcome_words = soa.outcomeWords().data();
-    std::uint8_t *capture = accuracy.captureCursor();
-    std::uint64_t hits = 0;
-    for (std::size_t base = 0; base < n; base += kTile) {
-        const std::size_t count = std::min(kTile, n - base);
-        for (std::size_t i = 0; i < count; ++i) {
-            const trace::BranchId id = ids[base + i];
-            lane[i] = history[id];
-            history[id] = ((history[id] << 1) |
-                           (soa.taken(base + i) ? 1u : 0u)) &
-                          mask;
-        }
-        hits += util::simd::fusedPass(
-            lane, outcome_words + base / 64, count,
-            pattern_table_.statesData(), *luts,
-            capture == nullptr ? nullptr : capture + base);
-    }
-    accuracy.recordBulk(hits, n);
+    std::uint8_t *states = pattern_table_.statesData();
+    // Record i's PT index is its register's pre-shift value; the
+    // register then shifts in the outcome (paper Section 2.1).
+    const auto advance = [&soa, mask](std::uint32_t &history,
+                                      std::size_t i) {
+        const std::uint32_t pattern = history;
+        history =
+            ((history << 1) | (soa.taken(i) ? 1u : 0u)) & mask;
+        return pattern;
+    };
 
-    // Epilogue: final shift-register values back into the HRT.
-    for (std::size_t id = 0; id < unique; ++id)
-        entries[id]->history = history[id];
-    return true;
+    switch (config_.hrtKind) {
+      case TableKind::Ideal: {
+        // Pinned to the scalar level, the IHRT keeps its lane-prober
+        // loop: it is the twin simd_speedup measures the vector
+        // kernel against.
+        if (util::simd::activeLevel() == util::simd::Level::Scalar)
+            return false;
+        auto &table = static_cast<IdealTable<HrtEntry> &>(*hrt_);
+        // Resolve each unique pc exactly once, in id order — ids are
+        // assigned at first appearance, so this is the order the
+        // reference loop first touches them — then account the
+        // remaining probes as repeat hits. Totals match the
+        // per-record loop's statistics exactly.
+        const std::span<const std::uint64_t> pcs = soa.uniquePcs();
+        std::vector<HrtEntry *> entries(pcs.size());
+        std::vector<std::uint32_t> history(pcs.size());
+        for (std::size_t id = 0; id < pcs.size(); ++id) {
+            entries[id] = &table.lookupDirect(pcs[id]);
+            history[id] = entries[id]->history;
+        }
+        table.noteRepeatHits(ids.size() - pcs.size());
+        fusedLanePass(
+            soa,
+            [&](std::size_t i) { return advance(history[ids[i]], i); },
+            states, *luts, accuracy);
+        for (std::size_t id = 0; id < pcs.size(); ++id)
+            entries[id]->history = history[id];
+        return true;
+      }
+      case TableKind::Associative:
+        return coldAhrtPass<std::uint32_t>(
+            static_cast<AssociativeTable<HrtEntry> &>(*hrt_), soa,
+            [](const HrtEntry &entry) { return entry.history; },
+            [&](std::uint32_t *history, const auto &slot_of) {
+                fusedLanePass(
+                    soa,
+                    [&](std::size_t i) {
+                        return advance(history[slot_of(i)], i);
+                    },
+                    states, *luts, accuracy);
+            },
+            [](HrtEntry &entry, std::uint32_t history) {
+                entry.history = history;
+            });
+      case TableKind::Hashed: {
+        // The HHRT probe stays per record (it books the aliasing
+        // attribution), but the PT work moves to the fused pass.
+        auto &table = static_cast<HashedTable<HrtEntry> &>(*hrt_);
+        const trace::HashedLane &lane = soa.hashedLane(
+            table.addrShift(), table.size(),
+            table.hashKind() == HashKind::Mixed);
+        fusedLanePass(
+            soa,
+            [&](std::size_t i) {
+                const trace::BranchId id = ids[i];
+                return advance(
+                    table.lookupAtIndex(lane.indices[id], lane.lines[id])
+                        .history,
+                    i);
+            },
+            states, *luts, accuracy);
+        return true;
+      }
+    }
+    return false;
 }
 
 void
@@ -502,30 +480,20 @@ TwoLevelPredictor::simulateBatch(const trace::PredecodedView &view,
         simulateBatch(view.records(), accuracy);
         return;
     }
-    switch (config_.hrtKind) {
-      case TableKind::Ideal: {
-        if (trySimdBatch(view, accuracy))
-            break;
+    if (tryLanePass(view, accuracy))
+        return;
+    if (config_.hrtKind == TableKind::Ideal) {
         IdealLaneProber<HrtEntry> prober(
             static_cast<IdealTable<HrtEntry> &>(*hrt_),
             view.soa().uniquePcs());
         dispatchAutomatonSoa(prober, view, accuracy);
-        break;
-      }
-      case TableKind::Associative: {
-        AssociativeLaneProber<HrtEntry> prober(
-            static_cast<AssociativeTable<HrtEntry> &>(*hrt_),
-            view.soa());
-        dispatchAutomatonSoa(prober, view, accuracy);
-        break;
-      }
-      case TableKind::Hashed: {
-        HashedLaneProber<HrtEntry> prober(
-            static_cast<HashedTable<HrtEntry> &>(*hrt_), view.soa());
-        dispatchAutomatonSoa(prober, view, accuracy);
-        break;
-      }
+        return;
     }
+    // A warm AHRT, or an HHRT in a mode the lane pass does not cover:
+    // the AoS loop derives the index from the pc as cheaply as a lane
+    // would (the per-layer ladder measured it faster than the old
+    // AHRT and HHRT lane probers).
+    simulateBatch(view.records(), accuracy);
 }
 
 void

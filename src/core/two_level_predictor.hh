@@ -111,16 +111,13 @@ class TwoLevelPredictor : public BranchPredictor
                        AccuracyCounter &accuracy) override;
 
     /**
-     * SoA fused fast path over a predecoded trace: the dense
-     * branch-id lane turns the IHRT probe into a direct vector index
-     * (one hash per unique PC per batch instead of one per branch),
-     * the AHRT reads its set/tag pair and the HHRT its slot index
-     * from per-geometry lanes computed once per (trace, geometry).
-     * Outcomes stream from the packed bitvector. Same strict
-     * bit-equivalence contract as the AoS overload, against the same
-     * reference loop; falls back to the AoS twin (and through it to
-     * the reference loop) whenever mid-pair memo state or in-flight
-     * speculation makes the fused path unsafe.
+     * SoA fast path over a predecoded trace: the lane pass
+     * (tryLanePass) where eligible; otherwise the IHRT probes through
+     * a per-id pointer lane, and an AHRT or HHRT takes the AoS loop. Same strict bit-equivalence contract as the
+     * AoS overload, against the same reference loop; falls back to
+     * the AoS twin (and through it to the reference loop) whenever
+     * mid-pair memo state or in-flight speculation makes the fused
+     * path unsafe.
      */
     void simulateBatch(const trace::PredecodedView &view,
                        AccuracyCounter &accuracy) override;
@@ -211,25 +208,26 @@ class TwoLevelPredictor : public BranchPredictor
                               AccuracyCounter &accuracy);
 
     /**
-     * Vectorized twin of the IHRT fusedBatchSoa steady state
-     * (util/simd.hh). Key observation: with no speculation and no
-     * cached-bit, the history registers evolve independently of the
-     * predictions, so every record's PT index is precomputable into a
-     * dense lane before any automaton state is touched; the remaining
+     * The lane pass (core/lane_prober.hh). Key observation: with no
+     * speculation and no cached bit, the history registers evolve
+     * independently of the predictions, so every record's PT index is
+     * known before any automaton state is touched; the remaining
      * per-record program (gather state, compare lambda to the packed
-     * outcome bit, store delta) is then a pure array kernel that
-     * fusedPass() runs 8-wide, with intra-block PT read-modify-write
-     * hazards detected per block and run scalar. Bit-identical to the
-     * prober path: same accuracy, capture bytes, HRT statistics (one
-     * real probe per unique pc in id order — the reference loop's
-     * first-touch order — plus bulk repeat-hit accounting) and
-     * checkpoint bytes. Returns false when ineligible (non-IHRT
-     * callers must not call; speculative/cached modes, >4-bit
-     * counters, undispatchable automata, or scalar-only hosts), in
-     * which case the caller falls through to the prober path.
+     * outcome bit, store delta) is util::simd::fusedPass, run 8-wide
+     * where the host allows. The registers come from a per-id copy
+     * (IHRT: one real probe per unique pc in id order — the reference
+     * loop's first-touch order — plus bulk repeat-hit accounting), a
+     * per-slot copy served through the trace's AHRT resolution (cold
+     * AHRT only; the table then adopts the resolution's image), or
+     * the HHRT probed in place. Bit-identical to the reference loop:
+     * same accuracy, capture bytes, HRT statistics and checkpoint
+     * bytes. Returns false, touching nothing, when ineligible
+     * (speculative/cached modes, >4-bit counters, a warm AHRT, or an
+     * IHRT pinned to the scalar level, which keeps the prober loop
+     * that simd_speedup measures against).
      */
-    bool trySimdBatch(const trace::PredecodedView &view,
-                      AccuracyCounter &accuracy);
+    bool tryLanePass(const trace::PredecodedView &view,
+                     AccuracyCounter &accuracy);
 
     TwoLevelConfig config_;
     std::uint32_t history_mask_;

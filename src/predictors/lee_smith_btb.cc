@@ -205,11 +205,35 @@ LeeSmithPredictor::simulateBatch(const trace::PredecodedView &view,
         break;
       }
       case TableKind::Associative: {
-        core::AssociativeLaneProber<Automaton> prober(
-            static_cast<core::AssociativeTable<Automaton> &>(
-                *table_),
-            view.soa());
-        dispatchAutomatonSoa(prober, view, accuracy);
+        // A cold AHRT is one fused pass over a dense copy of the
+        // automaton states, indexed by the slot each record is served
+        // from: the slot plays the pattern table's part. A warm one
+        // takes the AoS loop, which derives set and tag from the pc
+        // as cheaply as a lane would.
+        const trace::PredecodedTrace &soa = view.soa();
+        const auto luts = core::fusedLutsFor(config_.automaton);
+        if (luts &&
+            core::coldAhrtPass<std::uint8_t>(
+                static_cast<core::AssociativeTable<Automaton> &>(
+                    *table_),
+                soa,
+                [](const Automaton &automaton) {
+                    return automaton.state();
+                },
+                [&](std::uint8_t *states, const auto &slot_of) {
+                    core::fusedLanePass(
+                        soa,
+                        [&](std::size_t i) {
+                            return static_cast<std::uint32_t>(
+                                slot_of(i));
+                        },
+                        states, *luts, accuracy);
+                },
+                [](Automaton &automaton, std::uint8_t state) {
+                    automaton.setState(state);
+                }))
+            break;
+        simulateBatch(view.records(), accuracy);
         break;
       }
       case TableKind::Hashed: {

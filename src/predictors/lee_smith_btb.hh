@@ -53,11 +53,13 @@ class LeeSmithPredictor : public core::BranchPredictor
                        AccuracyCounter &accuracy) override;
 
     /**
-     * SoA fused fast path over a predecoded trace: table probes go
-     * through the per-geometry index lanes (direct pointer lane for
-     * the ideal table, precomputed set/tag or hashed slot otherwise)
-     * and outcomes stream from the packed bitvector. Bit-identical to
-     * the AoS overload; falls back to it on mid-pair memo state.
+     * SoA fast path over a predecoded trace: the ideal and hashed
+     * tables probe through per-id and per-geometry index lanes; a
+     * cold AHRT runs one fused lane pass over a dense copy of its
+     * automaton states, served through the trace's AHRT resolution
+     * (core/lane_prober.hh), and a warm AHRT takes the AoS loop.
+     * Outcomes stream from the packed bitvector. Bit-identical to the
+     * AoS overload; falls back to it on mid-pair memo state.
      */
     void simulateBatch(const trace::PredecodedView &view,
                        AccuracyCounter &accuracy) override;

@@ -116,9 +116,9 @@ StaticTrainingPredictor::update(const trace::BranchRecord &record)
     last_entry_ = nullptr;
 }
 
-template <typename Prober>
+template <typename Probe>
 void
-StaticTrainingPredictor::fusedBatchSoa(Prober &prober,
+StaticTrainingPredictor::fusedBatchSoa(Probe &&probe,
                                        const trace::PredecodedTrace &soa,
                                        AccuracyCounter &accuracy)
 {
@@ -128,12 +128,49 @@ StaticTrainingPredictor::fusedBatchSoa(Prober &prober,
     const std::span<const trace::BranchId> ids = soa.branchIds();
     BatchTally tally(accuracy);
     for (std::size_t i = 0; i < ids.size(); ++i) {
-        StEntry &entry = prober.probe(ids[i]);
+        StEntry &entry = probe(ids[i]);
         const bool taken = soa.taken(i);
         tally.record((preset[entry.history] != 0) == taken);
         entry.history =
             ((entry.history << 1) | (taken ? 1u : 0u)) & history_mask_;
     }
+}
+
+bool
+StaticTrainingPredictor::tryColdAhrtPass(const trace::PredecodedTrace &soa,
+                                         AccuracyCounter &accuracy)
+{
+    // The registers evolve independently of the (preset) predictions,
+    // so each record's pattern is known up front: build it into a
+    // lane tile, then read the preset bits for the whole tile.
+    const std::uint32_t mask = history_mask_;
+    const std::uint8_t *preset = preset_.data();
+    return core::coldAhrtPass<std::uint32_t>(
+        static_cast<core::AssociativeTable<StEntry> &>(*hrt_), soa,
+        [](const StEntry &entry) { return entry.history; },
+        [&](std::uint32_t *history, const auto &slot_of) {
+            BatchTally tally(accuracy);
+            core::forEachLaneTile(
+                soa.size(),
+                [&](std::size_t i) {
+                    std::uint32_t &register_ = history[slot_of(i)];
+                    const std::uint32_t pattern = register_;
+                    register_ = ((register_ << 1) |
+                                 (soa.taken(i) ? 1u : 0u)) &
+                                mask;
+                    return pattern;
+                },
+                [&](const std::uint32_t *lane, std::size_t base,
+                    std::size_t count) {
+                    for (std::size_t j = 0; j < count; ++j) {
+                        tally.record((preset[lane[j]] != 0) ==
+                                     soa.taken(base + j));
+                    }
+                });
+        },
+        [](StEntry &entry, std::uint32_t history) {
+            entry.history = history;
+        });
 }
 
 void
@@ -146,26 +183,50 @@ StaticTrainingPredictor::simulateBatch(const trace::PredecodedView &view,
         BranchPredictor::simulateBatch(view.records(), accuracy);
         return;
     }
+    const trace::PredecodedTrace &soa = view.soa();
     switch (config_.hrtKind) {
       case TableKind::Ideal: {
         core::IdealLaneProber<StEntry> prober(
             static_cast<core::IdealTable<StEntry> &>(*hrt_),
-            view.soa().uniquePcs());
-        fusedBatchSoa(prober, view.soa(), accuracy);
+            soa.uniquePcs());
+        fusedBatchSoa(
+            [&](trace::BranchId id) -> StEntry & {
+                return prober.probe(id);
+            },
+            soa, accuracy);
         break;
       }
       case TableKind::Associative: {
-        core::AssociativeLaneProber<StEntry> prober(
-            static_cast<core::AssociativeTable<StEntry> &>(*hrt_),
-            view.soa());
-        fusedBatchSoa(prober, view.soa(), accuracy);
+        if (tryColdAhrtPass(soa, accuracy))
+            break;
+        // A warm AHRT: derive each unique PC's set and tag once for
+        // the batch, then probe per record.
+        auto &table =
+            static_cast<core::AssociativeTable<StEntry> &>(*hrt_);
+        const std::span<const std::uint64_t> pcs = soa.uniquePcs();
+        std::vector<std::uint32_t> sets(pcs.size());
+        std::vector<std::uint64_t> tags(pcs.size());
+        for (std::size_t id = 0; id < pcs.size(); ++id) {
+            const std::uint64_t line = pcs[id] >> table.addrShift();
+            sets[id] =
+                static_cast<std::uint32_t>(line & (table.numSets() - 1));
+            tags[id] = line / table.numSets();
+        }
+        fusedBatchSoa(
+            [&](trace::BranchId id) -> StEntry & {
+                return table.lookupWithSetTag(sets[id], tags[id]);
+            },
+            soa, accuracy);
         break;
       }
       case TableKind::Hashed: {
         core::HashedLaneProber<StEntry> prober(
-            static_cast<core::HashedTable<StEntry> &>(*hrt_),
-            view.soa());
-        fusedBatchSoa(prober, view.soa(), accuracy);
+            static_cast<core::HashedTable<StEntry> &>(*hrt_), soa);
+        fusedBatchSoa(
+            [&](trace::BranchId id) -> StEntry & {
+                return prober.probe(id);
+            },
+            soa, accuracy);
         break;
       }
     }

@@ -20,8 +20,11 @@
  * (trace/predecode.hh): a dense per-branch-id history vector stands
  * in for a pc-keyed map, and the preset bits are derived into a
  * 2^k-byte lane once per train()/reset(). The measured run has a
- * fused fast path over a predecoded view: one HRT probe per branch
- * through the core lane probers, then a preset-lane read.
+ * fused fast path over a predecoded view: over a cold AHRT, the
+ * shared lane pass of core/lane_prober.hh builds each record's
+ * pattern from the trace's AHRT resolution and reads preset bits per
+ * L1 tile; otherwise one HRT probe per branch, then a preset-lane
+ * read.
  */
 
 #ifndef TLAT_PREDICTORS_STATIC_TRAINING_HH
@@ -68,10 +71,13 @@ class StaticTrainingPredictor : public core::BranchPredictor
     using core::BranchPredictor::simulateBatch;
 
     /**
-     * Fused fast path over a predecoded view: one HRT probe per
-     * branch through the lane probers, a preset-lane read, and a
-     * register-resident tally. Bit-identical to the predict()/update()
-     * loop; drops off to it on mid-pair memo state.
+     * Fused fast path over a predecoded view: a cold AHRT runs the
+     * lane pass (tryColdAhrtPass); otherwise one HRT probe per branch
+     * (through the IHRT/HHRT lane probers, or for a warm AHRT with a
+     * set/tag pair derived once per unique pc per batch),
+     * a preset-lane read, and a register-resident tally.
+     * Bit-identical to the predict()/update() loop; drops off to it
+     * on mid-pair memo state.
      */
     void simulateBatch(const trace::PredecodedView &view,
                        AccuracyCounter &accuracy) override;
@@ -95,11 +101,20 @@ class StaticTrainingPredictor : public core::BranchPredictor
     /** Re-derives preset_ from counts_ (after train() and reset()). */
     void derivePresetBits();
 
-    /** Fused SoA loop body, monomorphized over the lane prober. */
-    template <typename Prober>
-    void fusedBatchSoa(Prober &prober,
+    /** Fused SoA loop body; @p probe(id) is the HRT entry of id. */
+    template <typename Probe>
+    void fusedBatchSoa(Probe &&probe,
                        const trace::PredecodedTrace &soa,
                        AccuracyCounter &accuracy);
+
+    /**
+     * The cold-AHRT lane pass (core/lane_prober.hh): patterns built
+     * into lane tiles through the trace's AHRT resolution, then a
+     * preset-bit read per tile. False, touching nothing, when the
+     * AHRT is warm.
+     */
+    bool tryColdAhrtPass(const trace::PredecodedTrace &soa,
+                         AccuracyCounter &accuracy);
 
     StaticTrainingConfig config_;
     std::uint32_t history_mask_;

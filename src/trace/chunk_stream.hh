@@ -18,7 +18,8 @@
  * rebuilds the dense-id dictionary from scratch each chunk; that only
  * changes which probes are first-touch *within a chunk*, and the
  * IHRT fused path counts repeat probes identically either way (see
- * TwoLevelPredictor::trySimdBatch).
+ * TwoLevelPredictor::tryLanePass). A chunk whose AHRT arrives warm
+ * takes the AoS loop rather than the chunk's AHRT resolution.
  *
  * Two implementations:
  *  - BufferChunkStream slices an in-memory TraceBuffer (chunk size 0

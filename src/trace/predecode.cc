@@ -45,30 +45,65 @@ PredecodedTrace::PredecodedTrace(
     }
 }
 
-const AhrtLane &
-PredecodedTrace::ahrtLane(unsigned addr_shift,
-                          std::size_t num_sets) const
+const AhrtResolution &
+PredecodedTrace::ahrtResolution(unsigned addr_shift,
+                                std::size_t num_sets,
+                                unsigned ways) const
 {
     tlat_assert(isPowerOfTwo(num_sets),
                 "AHRT set count must be a power of two, got ",
                 num_sets);
+    tlat_assert(ways >= 1 && ways <= AhrtResolution::kMaxWays,
+                "AHRT associativity out of the way-lane range: ", ways);
     const util::MutexLock lock(lanes_mutex_);
-    auto &slot = ahrt_lanes_[AhrtKey{addr_shift, num_sets}];
+    auto &slot = ahrt_resolutions_[AhrtKey{addr_shift, num_sets, ways}];
     if (!slot) {
-        auto lane = std::make_unique<AhrtLane>();
-        lane->sets.reserve(pcs_.size());
-        lane->tags.reserve(pcs_.size());
+        auto resolution = std::make_unique<AhrtResolution>();
+        // Set and tag of each unique PC, derived exactly as
+        // AssociativeTable::lookupDirect derives them.
+        std::vector<std::uint64_t> tags;
+        tags.reserve(pcs_.size());
+        resolution->sets.reserve(pcs_.size());
         for (const std::uint64_t pc : pcs_) {
-            // Must match AssociativeTable::lookupDirect bit-for-bit
-            // (pinned by tests/test_predecode).
             const std::uint64_t line = pc >> addr_shift;
-            lane->sets.push_back(static_cast<std::uint32_t>(
+            resolution->sets.push_back(static_cast<std::uint32_t>(
                 line & (num_sets - 1)));
-            lane->tags.push_back(line / num_sets);
+            tags.push_back(line / num_sets);
         }
-        slot = std::move(lane);
+        // Replay the table's own LRU rule from a cold table.
+        resolution->image.assign(num_sets * ways, util::LruWay{});
+        resolution->ways.reserve(ids_.size());
+        std::uint64_t tick = 0;
+        for (const BranchId id : ids_) {
+            util::LruWay *set =
+                &resolution->image[std::size_t{resolution->sets[id]} *
+                                   ways];
+            const util::LruAccess<util::LruWay> access =
+                util::lruAccess(set, ways, tags[id], ++tick);
+            resolution->ways.push_back(
+                static_cast<std::uint8_t>(access.way - set));
+            if (access.hit) {
+                ++resolution->hits;
+            } else {
+                ++resolution->misses;
+                if (access.evicted)
+                    ++resolution->evictions;
+            }
+        }
+        resolution->tick = tick;
+        slot = std::move(resolution);
     }
     return *slot;
+}
+
+bool
+PredecodedTrace::hasAhrtResolution(unsigned addr_shift,
+                                   std::size_t num_sets,
+                                   unsigned ways) const
+{
+    const util::MutexLock lock(lanes_mutex_);
+    return ahrt_resolutions_.count(AhrtKey{addr_shift, num_sets, ways}) !=
+           0;
 }
 
 const HashedLane &

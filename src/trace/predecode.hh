@@ -18,9 +18,17 @@
  *    vectors indexed by id (no hashing on the hot path at all);
  *  - a packed outcome bitvector (one bit per conditional, 64 per
  *    word) replacing the one-byte-per-record taken flag;
- *  - lazily built per-geometry index lanes: the AHRT set/tag pair and
- *    the HHRT hashed slot index of every *unique* PC, computed once
- *    per (trace, geometry) instead of once per branch per cell.
+ *  - a lazily built per-geometry HHRT index lane: the hashed slot
+ *    and address line of every *unique* PC, computed once per
+ *    (trace, geometry) instead of once per branch per cell;
+ *  - a lazily built per-geometry AHRT resolution: the AHRT's LRU
+ *    replacement decisions depend only on the pc stream, never on
+ *    outcomes or payloads, so they are replayed once per (trace,
+ *    addr shift, sets, ways) into a one-byte way lane plus the final
+ *    way image, tick and hit/miss/eviction counts of a cold table. A
+ *    predictor whose AHRT is still cold runs its whole batch as a
+ *    dense-array lane pass over that lane and then adopts the image
+ *    (core/lane_prober.hh); a warm one takes the AoS loop.
  *
  * Everything here is a pure function of the conditional record stream
  * (and, for index lanes, the table geometry), so a predecoded trace
@@ -28,7 +36,9 @@
  * sharing it across sweep shards cannot perturb results at any --jobs
  * count. The dense lanes are immutable after construction; the lane
  * cache is guarded by a mutex so concurrent cells that need the same
- * geometry build it once and share the result.
+ * geometry build it once and share the result. Lanes are built on
+ * first request, so a sweep pays for them in its simulate phase and
+ * only for the geometries its schemes use.
  */
 
 #ifndef TLAT_TRACE_PREDECODE_HH
@@ -43,6 +53,7 @@
 #include <vector>
 
 #include "record.hh"
+#include "util/lru.hh"
 #include "util/mutex.hh"
 #include "util/thread_annotations.hh"
 
@@ -53,16 +64,36 @@ namespace tlat::trace
 using BranchId = std::uint32_t;
 
 /**
- * Per-geometry AHRT index lane: the set index and tag of each unique
- * PC, in branch-id order. Derivation matches
- * core::AssociativeTable::lookupDirect exactly (line = pc >> shift,
- * set = line & (sets-1), tag = line / sets) — pinned by
- * tests/test_predecode.
+ * The AHRT's replacement decisions for one geometry, resolved once
+ * per trace by replaying util::lruAccess — the rule
+ * core::AssociativeTable applies per probe — from a cold table
+ * (tick 0, every way invalid) over the pc stream. Pinned against a
+ * cold AssociativeTable::lookupDirect loop by tests/test_predecode.
  */
-struct AhrtLane
+struct AhrtResolution
 {
+    /** Largest associativity the one-byte way lane can name. */
+    static constexpr unsigned kMaxWays = 256;
+
+    /**
+     * Set index of each unique PC, in branch-id order (line = pc >>
+     * shift, set = line & (sets-1), as lookupDirect derives it).
+     */
     std::vector<std::uint32_t> sets;
-    std::vector<std::uint64_t> tags;
+    /**
+     * The way (within its set) each conditional is served from, in
+     * trace order: record i lives in table slot
+     * sets[id(i)] * ways + ways[i] for the whole batch.
+     */
+    std::vector<std::uint8_t> ways;
+    /** Replacement state of every way after the replay, set-major. */
+    std::vector<util::LruWay> image;
+    /** The table's access clock after the replay. */
+    std::uint64_t tick = 0;
+    /** Access counts of the replay (every eviction also aliases). */
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
 };
 
 /**
@@ -120,14 +151,24 @@ class PredecodedTrace
     std::size_t uniquePcCount() const { return pcs_.size(); }
 
     /**
-     * The AHRT index lane for one table geometry, built on first
+     * The AHRT resolution for one table geometry, built on first
      * request and cached for the trace's lifetime. Thread-safe: sweep
-     * cells that share a geometry share one lane.
+     * cells that share a geometry share one resolution. @p ways must
+     * be at most AhrtResolution::kMaxWays.
      */
-    const AhrtLane &ahrtLane(unsigned addr_shift,
-                             std::size_t num_sets) const;
+    const AhrtResolution &ahrtResolution(unsigned addr_shift,
+                                         std::size_t num_sets,
+                                         unsigned ways) const;
 
-    /** The HHRT index lane for one table geometry (see ahrtLane). */
+    /**
+     * True once ahrtResolution() has been asked for this geometry —
+     * how tests see that a sweep cell took the cold-AHRT lane pass,
+     * which is otherwise bit-identical to the AoS loop.
+     */
+    bool hasAhrtResolution(unsigned addr_shift, std::size_t num_sets,
+                           unsigned ways) const;
+
+    /** The HHRT index lane for one table geometry (same caching). */
     const HashedLane &hashedLane(unsigned addr_shift,
                                  std::size_t table_size,
                                  bool mixed) const;
@@ -141,11 +182,11 @@ class PredecodedTrace
     // observable (lookup only), and the deterministic comparator
     // avoids hash-order questions outright. unique_ptr keeps lane
     // references stable across cache growth.
-    using AhrtKey = std::pair<unsigned, std::size_t>;
+    using AhrtKey = std::tuple<unsigned, std::size_t, unsigned>;
     using HashedKey = std::tuple<unsigned, std::size_t, bool>;
     mutable util::Mutex lanes_mutex_;
-    mutable std::map<AhrtKey, std::unique_ptr<const AhrtLane>>
-        ahrt_lanes_ TLAT_GUARDED_BY(lanes_mutex_);
+    mutable std::map<AhrtKey, std::unique_ptr<const AhrtResolution>>
+        ahrt_resolutions_ TLAT_GUARDED_BY(lanes_mutex_);
     mutable std::map<HashedKey, std::unique_ptr<const HashedLane>>
         hashed_lanes_ TLAT_GUARDED_BY(lanes_mutex_);
 };

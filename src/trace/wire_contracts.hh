@@ -57,10 +57,10 @@ static_assert(static_cast<unsigned>(BranchClass::NumClasses) <= 255,
 
 // ---------------------------------------------------------------------
 // Predecoded SoA lane contracts (predecode.hh): the fused SoA loops
-// and the per-geometry index-lane probers are sized around these
-// exact element types — a u32 branch id (2^32-1 unique static
-// branches, asserted at build time), u64 packed-outcome words, u32
-// set/slot indices and u64 tags/lines. Widening any of them silently
+// and the per-geometry lanes are sized around these exact element
+// types — a u32 branch id (2^32-1 unique static branches, asserted at
+// build time), u64 packed-outcome words, u32 set/slot indices, a u8
+// per-record AHRT way and u64 HHRT lines. Widening any of them silently
 // doubles hot-lane memory traffic, which is the very thing the
 // predecode layer exists to remove.
 // ---------------------------------------------------------------------
@@ -70,11 +70,11 @@ static_assert(std::is_same_v<BranchId, std::uint32_t>,
 static_assert(PredecodedTrace::kOutcomeWordBits == 64,
               "the packed outcome bitvector uses u64 words");
 static_assert(
-    std::is_same_v<decltype(AhrtLane::sets),
+    std::is_same_v<decltype(AhrtResolution::sets),
                    std::vector<std::uint32_t>> &&
-        std::is_same_v<decltype(AhrtLane::tags),
-                       std::vector<std::uint64_t>>,
-    "AHRT index lane drifted from the u32-set/u64-tag layout");
+        std::is_same_v<decltype(AhrtResolution::ways),
+                       std::vector<std::uint8_t>>,
+    "AHRT resolution drifted from the u32-set/u8-way lane layout");
 static_assert(
     std::is_same_v<decltype(HashedLane::indices),
                    std::vector<std::uint32_t>> &&

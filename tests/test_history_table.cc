@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/history_table.hh"
+#include "trace/trace_buffer.hh"
 #include "util/random.hh"
 
 namespace tlat::core
@@ -318,9 +319,10 @@ TEST(AssociativeTableFuzz, DeterministicUnderIdenticalSeeds)
 }
 
 // -----------------------------------------------------------------
-// SoA index-lane probe equivalence: lookupDirect() now delegates to
-// lookupAtIndex()/lookupWithSetTag(), and the predecode fast path
-// calls those directly with precomputed operands. Driving two tables
+// SoA index-lane probe equivalence: lookupDirect() delegates to
+// lookupAtIndex()/lookupWithSetTag(), which the SoA fast paths call
+// directly with precomputed operands; a cold AHRT adopts the
+// trace's resolution instead of being probed. Driving two tables
 // through the two entry points with the same pc walk must leave them
 // byte-identical — entries, replacement state, statistics, and (for
 // the HHRT) the touched_/lines_ aliasing attribution, all of which
@@ -410,6 +412,35 @@ TEST(AssociativeTable, LookupWithSetTagMatchesDirect)
     EXPECT_EQ(direct.stats().evictions, indexed.stats().evictions);
     EXPECT_GT(direct.stats().evictions, 0u);
     EXPECT_EQ(tableStateBytes(direct), tableStateBytes(indexed));
+}
+
+TEST(AssociativeTable, AdoptedResolutionMatchesDirect)
+{
+    // A cold table that adopts the trace's AHRT resolution must
+    // serialize exactly like one probed record by record: replacement
+    // image, tick and every statistic (the payloads are not part of
+    // the resolution and stay at their initial value in both).
+    trace::TraceBuffer buffer("adopt");
+    tlat::Rng rng(0x5e7a);
+    for (int i = 0; i < 20000; ++i) {
+        trace::BranchRecord record;
+        record.pc = rng.nextBelow(256) * 4;
+        record.cls = trace::BranchClass::Conditional;
+        record.taken = rng.nextBool(0.5);
+        buffer.append(record);
+    }
+    AssociativeTable<Payload> direct(32, 4, Payload{-1});
+    for (const trace::BranchRecord &record : buffer.conditionalView())
+        direct.lookupDirect(record.pc);
+
+    AssociativeTable<Payload> adopted(32, 4, Payload{-1});
+    ASSERT_TRUE(adopted.replacementCold());
+    adopted.adopt(buffer.predecoded()->ahrtResolution(
+        adopted.addrShift(), adopted.numSets(),
+        adopted.associativity()));
+    EXPECT_FALSE(adopted.replacementCold());
+    EXPECT_GT(direct.stats().evictions, 0u);
+    EXPECT_EQ(tableStateBytes(direct), tableStateBytes(adopted));
 }
 
 TEST(IdealTable, NoteRepeatHitMatchesRepeatedLookup)

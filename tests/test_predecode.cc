@@ -2,20 +2,25 @@
  * @file
  * Unit tests for the trace predecode layer (trace/predecode.hh): the
  * first-appearance branch-id dictionary, the packed outcome
- * bitvector, the per-geometry index lanes (which must match the
- * history tables' own index derivations bit-for-bit), and the
+ * bitvector, the per-geometry HHRT index lane and AHRT resolution
+ * (which must match the history tables' own index derivations and
+ * LRU decisions bit-for-bit), and the
  * build-once sharing/invalidation rules of the TraceBuffer cache.
  */
 
 #include <cstdint>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/history_table.hh"
+#include "sim/simulator.hh"
 #include "trace/trace_buffer.hh"
 #include "util/random.hh"
+#include "workloads/workload.hh"
 
 namespace tlat::trace
 {
@@ -78,22 +83,86 @@ TEST(Predecode, OutcomeBitvectorMatchesRecords)
     EXPECT_EQ(soa->outcomeWords().size(), 16u);
 }
 
-TEST(Predecode, AhrtLaneMatchesAssociativeTableDerivation)
+/**
+ * Holds ahrtResolution(shift, sets, ways) to a cold
+ * AssociativeTable::lookupDirect loop over the same conditionals: the
+ * way each record lands in (read back as the way whose recency is
+ * the current tick), the final replacement image, the tick, and the
+ * hit/miss/eviction counts.
+ */
+void
+expectResolutionMatchesColdTable(const TraceBuffer &buffer,
+                                 std::size_t entries, unsigned ways)
 {
-    const TraceBuffer buffer = randomTrace(0xa427, 2000, 301);
     const auto soa = buffer.predecoded();
+    core::AssociativeTable<int> table(entries, ways, 0);
+    const AhrtResolution &resolution = soa->ahrtResolution(
+        table.addrShift(), table.numSets(), table.associativity());
+    ASSERT_EQ(resolution.sets.size(), soa->uniquePcCount());
+    ASSERT_EQ(resolution.ways.size(), soa->size());
 
-    // Same derivation AssociativeTable::lookupDirect performs.
-    constexpr unsigned kShift = 2;
-    constexpr std::size_t kSets = 128 / 4;
-    const AhrtLane &lane = soa->ahrtLane(kShift, kSets);
-    ASSERT_EQ(lane.sets.size(), soa->uniquePcCount());
-    ASSERT_EQ(lane.tags.size(), soa->uniquePcCount());
-    for (std::size_t id = 0; id < soa->uniquePcCount(); ++id) {
-        const std::uint64_t line = soa->uniquePcs()[id] >> kShift;
-        EXPECT_EQ(lane.sets[id], line & (kSets - 1));
-        EXPECT_EQ(lane.tags[id], line / kSets);
+    const std::span<const BranchRecord> records =
+        buffer.conditionalView();
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        const std::uint64_t line = records[i].pc >> table.addrShift();
+        const std::size_t set = line & (table.numSets() - 1);
+        ASSERT_EQ(resolution.sets[soa->branchIds()[i]], set)
+            << "record " << i;
+        table.lookupDirect(records[i].pc);
+        const std::vector<util::LruWay> image = table.replacementImage();
+        unsigned touched = ways;
+        for (unsigned w = 0; w < ways; ++w) {
+            if (image[set * ways + w].lastUse == table.tick())
+                touched = w;
+        }
+        ASSERT_EQ(resolution.ways[i], touched) << "record " << i;
     }
+    EXPECT_EQ(resolution.image, table.replacementImage());
+    EXPECT_EQ(resolution.tick, table.tick());
+    EXPECT_EQ(resolution.hits, table.stats().hits);
+    EXPECT_EQ(resolution.misses, table.stats().misses);
+    EXPECT_EQ(resolution.evictions, table.stats().evictions);
+    EXPECT_EQ(resolution.evictions, table.stats().aliasedLookups);
+}
+
+TEST(Predecode, AhrtResolutionMatchesColdTableReplay)
+{
+    // The paper's 512-entry 4-way AHRT over a real workload, plus two
+    // eviction-heavy geometries where nearly every miss displaces a
+    // live way: 8 entries x 4 ways (two sets) and 4 x 1 (direct
+    // mapped).
+    const TraceBuffer gcc = sim::collectTrace(
+        workloads::makeWorkload("gcc")->buildTest(), 30000);
+    const TraceBuffer random = randomTrace(0xa427, 4000, 301);
+    for (const TraceBuffer *buffer : {&gcc, &random}) {
+        for (const auto &[entries, ways] :
+             {std::pair<std::size_t, unsigned>{512, 4},
+              std::pair<std::size_t, unsigned>{8, 4},
+              std::pair<std::size_t, unsigned>{4, 1}}) {
+            SCOPED_TRACE(buffer->name() + " " +
+                         std::to_string(entries) + "x" +
+                         std::to_string(ways));
+            expectResolutionMatchesColdTable(*buffer, entries, ways);
+        }
+    }
+    // The small geometries must actually evict, or they pin nothing.
+    EXPECT_GT(gcc.predecoded()->ahrtResolution(2, 2, 4).evictions,
+              gcc.predecoded()->size() / 4);
+}
+
+TEST(Predecode, AhrtResolutionKeyIncludesWays)
+{
+    // 8 sets x 1 way and 8 sets x 4 ways share shift and set count
+    // but not the replacement decisions.
+    const TraceBuffer buffer = randomTrace(0x3a75, 3000, 97);
+    const auto soa = buffer.predecoded();
+    const AhrtResolution &direct = soa->ahrtResolution(2, 8, 1);
+    const AhrtResolution &four_way = soa->ahrtResolution(2, 8, 4);
+    EXPECT_NE(&direct, &four_way);
+    EXPECT_EQ(direct.image.size(), 8u);
+    EXPECT_EQ(four_way.image.size(), 32u);
+    EXPECT_GT(direct.evictions, four_way.evictions);
+    EXPECT_EQ(&direct, &soa->ahrtResolution(2, 8, 1));
 }
 
 TEST(Predecode, HashedLaneMatchesHashedTableDerivation)
@@ -122,11 +191,13 @@ TEST(Predecode, LanesAreCachedPerGeometry)
 {
     const TraceBuffer buffer = randomTrace(0xcac4e, 500, 31);
     const auto soa = buffer.predecoded();
-    const AhrtLane &a = soa->ahrtLane(2, 32);
-    const AhrtLane &b = soa->ahrtLane(2, 32);
+    const AhrtResolution &a = soa->ahrtResolution(2, 32, 4);
+    const AhrtResolution &b = soa->ahrtResolution(2, 32, 4);
     EXPECT_EQ(&a, &b);
-    const AhrtLane &c = soa->ahrtLane(2, 64);
+    const AhrtResolution &c = soa->ahrtResolution(2, 64, 4);
     EXPECT_NE(&a, &c);
+    const AhrtResolution &d = soa->ahrtResolution(3, 32, 4);
+    EXPECT_NE(&a, &d);
     const HashedLane &h1 = soa->hashedLane(2, 64, false);
     const HashedLane &h2 = soa->hashedLane(2, 64, false);
     const HashedLane &h3 = soa->hashedLane(2, 64, true);
@@ -199,18 +270,24 @@ TEST(Predecode, ConcurrentLaneBuildsShareOneLane)
     const TraceBuffer buffer = randomTrace(0x7412ead, 5000, 997);
     const auto soa = buffer.predecoded();
 
-    std::vector<const AhrtLane *> seen(8, nullptr);
+    // Eight threads race for one geometry's resolution: one build,
+    // one shared artifact, the same contents a lone request gets.
+    std::vector<const AhrtResolution *> seen(8, nullptr);
     std::vector<std::thread> threads;
     threads.reserve(seen.size());
     for (std::size_t t = 0; t < seen.size(); ++t) {
         threads.emplace_back([&soa, &seen, t] {
-            seen[t] = &soa->ahrtLane(2, 128);
+            seen[t] = &soa->ahrtResolution(2, 128, 4);
         });
     }
     for (std::thread &thread : threads)
         thread.join();
-    for (const AhrtLane *lane : seen)
-        EXPECT_EQ(lane, seen[0]);
+    for (const AhrtResolution *resolution : seen)
+        EXPECT_EQ(resolution, seen[0]);
+    const auto fresh = TraceBuffer(buffer).predecoded();
+    const AhrtResolution &alone = fresh->ahrtResolution(2, 128, 4);
+    EXPECT_EQ(seen[0]->ways, alone.ways);
+    EXPECT_EQ(seen[0]->image, alone.image);
 }
 
 } // namespace

@@ -196,6 +196,33 @@ TEST(SchemeConfig, RejectsMalformedNames)
     }
 }
 
+TEST(SchemeConfig, RejectsHrtSizesTheTablesCannotBuild)
+{
+    const char *bad[] = {
+        "AT(AHRT(6,12SR),PT(2^12,A2),)",    // not whole 4-way sets
+        "AT(AHRT(12,12SR),PT(2^12,A2),)",   // 3 sets: not a power of 2
+        "LS(AHRT(6,A2),,)",
+        "ST(HHRT(5,12SR),PT(2^12,PB),Same)", // HHRT not a power of 2
+        "LS(HHRT(7,LT),,)",
+        "AT(AHRT(4294967300,12SR),PT(2^12,A2),)", // past the 2^24 cap
+        "AT(HHRT(33554432,12SR),PT(2^12,A2),)",   // 2^25
+        "CMB(LS(AHRT(6,A2),,),BTFN,CT(2^4))",     // inside a component
+    };
+    for (const char *name : bad) {
+        EXPECT_FALSE(SchemeConfig::parse(name).has_value()) << name;
+    }
+    // The boundaries that remain: one 4-way set, a 1-entry HHRT and
+    // the 2^24 cap itself.
+    for (const char *name : {
+             "AT(AHRT(4,12SR),PT(2^12,A2),)",
+             "LS(HHRT(1,A2),,)",
+             "AT(AHRT(16777216,12SR),PT(2^12,A2),)",
+             "LS(HHRT(16777216,LT),,)",
+         }) {
+        EXPECT_TRUE(SchemeConfig::parse(name).has_value()) << name;
+    }
+}
+
 TEST(SchemeConfig, HistoryBitsBoundaries)
 {
     EXPECT_TRUE(SchemeConfig::parse("AT(AHRT(512,1SR),PT(2^1,A2),)")

@@ -36,6 +36,8 @@
 #include "core/two_level_predictor.hh"
 #include "harness/experiment.hh"
 #include "harness/metrics_json.hh"
+#include "harness/parallel_sweep.hh"
+#include "harness/suite.hh"
 #include "isa/instruction.hh"
 #include "predictors/profile_predictor.hh"
 #include "predictors/scheme_factory.hh"
@@ -1070,6 +1072,196 @@ TEST(SimulateBatchFuzz, TrainingTwiceAccumulates)
         EXPECT_EQ(fast_acc.total(), ref_acc.total()) << scheme;
         EXPECT_EQ(stateProbe(*fast, test), stateProbe(*reference, test))
             << scheme;
+    }
+}
+
+/** Everything one measured run leaves to compare. */
+struct RunOutcome
+{
+    std::uint64_t hits = 0;
+    std::uint64_t total = 0;
+    std::vector<std::uint8_t> capture;
+    std::string metrics;
+    std::string checkpoint;
+
+    bool operator==(const RunOutcome &other) const = default;
+};
+
+std::string
+checkpointBytes(const core::BranchPredictor &predictor)
+{
+    std::ostringstream os;
+    return predictor.saveCheckpoint(os) ? os.str() : std::string();
+}
+
+/** A run of @p trace through simulateBatch in @p chunk-record chunks. */
+RunOutcome
+chunkedRun(core::BranchPredictor &predictor, const TraceBuffer &trace,
+           std::size_t chunk)
+{
+    RunOutcome outcome;
+    outcome.capture.assign(trace.conditionalCount(), 0xee);
+    AccuracyCounter accuracy;
+    accuracy.captureInto(outcome.capture.data());
+    trace::BufferChunkStream stream(trace, chunk);
+    while (const trace::TraceChunk *next = stream.next())
+        predictor.simulateBatch(next->view, accuracy);
+    outcome.hits = accuracy.hits();
+    outcome.total = accuracy.total();
+    outcome.metrics = metricsJson(predictor, accuracy, trace);
+    outcome.checkpoint = checkpointBytes(predictor);
+    return outcome;
+}
+
+/** The same run through the per-record reference loop. */
+RunOutcome
+referenceRun(core::BranchPredictor &predictor, const TraceBuffer &trace)
+{
+    RunOutcome outcome;
+    AccuracyCounter accuracy;
+    for (const BranchRecord &record : trace.conditionalView()) {
+        const bool correct = predictor.predict(record) == record.taken;
+        accuracy.record(correct);
+        outcome.capture.push_back(correct ? 1 : 0);
+        predictor.update(record);
+    }
+    outcome.hits = accuracy.hits();
+    outcome.total = accuracy.total();
+    outcome.metrics = metricsJson(predictor, accuracy, trace);
+    outcome.checkpoint = checkpointBytes(predictor);
+    return outcome;
+}
+
+/**
+ * Runs @p first then @p second through fresh predictors from @p make
+ * at chunk sizes 1, 777 and 65536 and holds every state to the
+ * reference loop: a fresh (cold) predictor, the same predictor on a
+ * second trace (warm), a predictor restored from the reference's
+ * checkpoint after @p first (restored warm), and one restored from a
+ * fresh predictor's checkpoint (restored cold). With 1-record chunks
+ * only the first record sees a cold table; 777 puts chunk edges off
+ * the 64-record outcome words; 65536 spans the whole trace.
+ */
+template <typename Make>
+void
+expectChunkedStatesMatchReference(const Make &make,
+                                  const TraceBuffer &first,
+                                  const TraceBuffer &second)
+{
+    const auto reference = make();
+    const std::string cold_checkpoint = checkpointBytes(*reference);
+    const RunOutcome want_first = referenceRun(*reference, first);
+    const RunOutcome want_second = referenceRun(*reference, second);
+    ASSERT_GT(want_first.total, 0u) << reference->name();
+
+    for (const std::size_t chunk :
+         {std::size_t{1}, std::size_t{777}, std::size_t{65536}}) {
+        SCOPED_TRACE(reference->name() + " chunk=" +
+                     std::to_string(chunk));
+        const auto fast = make();
+        EXPECT_EQ(chunkedRun(*fast, first, chunk), want_first)
+            << "cold";
+        EXPECT_EQ(chunkedRun(*fast, second, chunk), want_second)
+            << "warm, same predictor";
+
+        if (want_first.checkpoint.empty())
+            continue; // no checkpoint support (Static Training)
+        const auto restored_warm = make();
+        std::istringstream warm(want_first.checkpoint);
+        ASSERT_TRUE(restored_warm->loadCheckpoint(warm));
+        EXPECT_EQ(chunkedRun(*restored_warm, second, chunk),
+                  want_second)
+            << "restored warm checkpoint";
+
+        const auto restored_cold = make();
+        std::istringstream cold(cold_checkpoint);
+        ASSERT_TRUE(restored_cold->loadCheckpoint(cold));
+        EXPECT_EQ(chunkedRun(*restored_cold, first, chunk), want_first)
+            << "restored cold checkpoint";
+    }
+}
+
+TEST(SimulateBatchFuzz, AhrtColdWarmAndRestoredStatesMatchReference)
+{
+    // A cold AHRT runs the lane pass over the trace's resolution; a
+    // warm one (a second batch on the same predictor, or a restored
+    // warm checkpoint) takes the AoS loop; a restored checkpoint of a
+    // fresh predictor is cold again.
+    const char *const schemes[] = {
+        "AT(AHRT(64,6SR),PT(2^6,A2),)",
+        "AT(AHRT(32,6SR),PT(2^6,LT),)",
+        "LS(AHRT(64,A2),,)",
+        "LS(AHRT(32,LT),,)",
+        "ST(AHRT(64,6SR),PT(2^6,PB),Diff)",
+        "CMB(AT(AHRT(64,6SR),PT(2^6,A2),),LS(AHRT(32,A2),,),CT(2^6))",
+    };
+    const TraceBuffer train = makeRandomTrace(41, 6000);
+    const TraceBuffer first = makeOverlappingTrace(train, 42);
+    const TraceBuffer second = makeOverlappingTrace(first, 43);
+    for (const char *scheme : schemes) {
+        expectChunkedStatesMatchReference(
+            [&] {
+                auto predictor = predictors::makePredictor(scheme);
+                if (predictor->needsTraining())
+                    predictor->train(train);
+                return predictor;
+            },
+            first, second);
+    }
+}
+
+TEST(SimulateBatchFuzz, LanePassRegistersCarryAcrossBatches)
+{
+    // The other lane passes keep their first-level registers in a
+    // dense copy or a local for the batch; what they write back must
+    // carry into the next chunk, the next trace and the checkpoint.
+    const TraceBuffer first = makeRandomTrace(44, 6000);
+    const TraceBuffer second = makeOverlappingTrace(first, 45);
+    for (const char *scheme :
+         {"AT(IHRT(,6SR),PT(2^6,A2),)", "AT(HHRT(64,6SR),PT(2^6,A3),)",
+          "GSH(6,A2)"}) {
+        expectChunkedStatesMatchReference(
+            [&] { return predictors::makePredictor(scheme); }, first,
+            second);
+    }
+    for (const core::HistoryScope history :
+         {core::HistoryScope::Global, core::HistoryScope::PerAddress,
+          core::HistoryScope::PerSet}) {
+        core::GeneralizedConfig config;
+        config.historyScope = history;
+        config.patternScope = core::PatternScope::Global;
+        config.historyBits = 6;
+        expectChunkedStatesMatchReference(
+            [&]() -> std::unique_ptr<core::BranchPredictor> {
+                return std::make_unique<
+                    core::GeneralizedTwoLevelPredictor>(config);
+            },
+            first, second);
+    }
+}
+
+TEST(SimulateBatchFuzz, SweepAhrtCellTakesTheColdLanePass)
+{
+    // The cold lane pass and the AoS loop are bit-identical, so a
+    // silent fallback would pass every equality test above. The
+    // resolution is only ever requested by the cold pass: after a
+    // sweep over an AHRT scheme every trace must hold one for that
+    // geometry (64 entries, 4 ways: 16 sets; micro88 drops 2 bits).
+    harness::BenchmarkSuite suite(3000);
+    const std::vector<std::string> schemes{
+        "AT(AHRT(64,6SR),PT(2^6,A2),)", "LS(AHRT(64,A2),,)"};
+    for (const std::string &benchmark : suite.benchmarks()) {
+        EXPECT_FALSE(suite.testTrace(benchmark)
+                         .predecoded()
+                         ->hasAhrtResolution(2, 16, 4))
+            << benchmark;
+    }
+    harness::runSweep(suite, "cold-path", schemes, {}, 2);
+    for (const std::string &benchmark : suite.benchmarks()) {
+        EXPECT_TRUE(suite.testTrace(benchmark)
+                        .predecoded()
+                        ->hasAhrtResolution(2, 16, 4))
+            << benchmark;
     }
 }
 

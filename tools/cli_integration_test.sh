@@ -63,6 +63,23 @@ expect 2 "bad scheme name (cpi)" cpi "NotAScheme(x)" eqntott
 expect 2 "bad scheme name (compare)" compare "NotAScheme(x)"
 expect 2 "wrong positional count" run BTFN
 
+# HRT sizes the tables cannot build are bad scheme names (exit 2), not
+# a failed assertion (exit 134).
+for scheme in "AT(AHRT(6,12SR),PT(2^12,A2),)" \
+        "AT(AHRT(12,12SR),PT(2^12,A2),)" "LS(AHRT(6,A2),,)" \
+        "ST(HHRT(5,12SR),PT(2^12,PB),Same)" "LS(HHRT(7,LT),,)" \
+        "AT(AHRT(4294967300,12SR),PT(2^12,A2),)"; do
+    hrt_err=$("$TLAT" run "$scheme" eqntott --budget 1000 2>&1 >/dev/null)
+    got=$?
+    if [ "$got" -eq 2 ] &&
+        printf '%s\n' "$hrt_err" | grep -q "bad scheme name"; then
+        echo "ok: unbuildable HRT size rejected ($scheme)"
+    else
+        echo "FAIL: $scheme: expected exit 2 and 'bad scheme name', got $got"
+        failures=$((failures + 1))
+    fi
+done
+
 # A bad scheme name must list the valid spellings (including the
 # combining grammar) on stderr so the notation is discoverable.
 scheme_err=$("$TLAT" run "NotAScheme(x)" eqntott 2>&1 >/dev/null)
