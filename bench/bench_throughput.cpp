@@ -11,6 +11,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "bench_common.hh"
 #include "core/two_level_predictor.hh"
@@ -403,19 +404,36 @@ main(int argc, char **argv)
     // like the other gated ratios; simd_active records whether a
     // vector level was available at all (the gate relaxes to ~1.0x
     // on scalar-only hosts, where both legs run the same code).
-    const double simd_rps = soa_ihrt;
-    double simd_scalar_rps;
-    {
-        const util::simd::ScopedLevelOverride pin(
-            util::simd::Level::Scalar);
-        simd_scalar_rps = timedRecordsPerSec(ihrt, DriveMode::Soa);
+    // Each leg lasts milliseconds, so one back-to-back pair is at the
+    // mercy of host noise: the ratio is the median of interleaved
+    // vector/scalar pairs, as bench_serve reports serve_vs_offline.
+    constexpr int kSimdPairs = 7; // odd, so the median is one pair
+    std::vector<double> simd_legs;
+    std::vector<double> scalar_legs;
+    std::vector<double> simd_ratios;
+    for (int i = 0; i < kSimdPairs; ++i) {
+        simd_legs.push_back(timedRecordsPerSec(ihrt, DriveMode::Soa));
+        {
+            const util::simd::ScopedLevelOverride pin(
+                util::simd::Level::Scalar);
+            scalar_legs.push_back(
+                timedRecordsPerSec(ihrt, DriveMode::Soa));
+        }
+        simd_ratios.push_back(simd_legs.back() / scalar_legs.back());
     }
+    const auto median = [](std::vector<double> values) {
+        std::sort(values.begin(), values.end());
+        return values[values.size() / 2];
+    };
+    const double simd_rps = median(simd_legs);
+    const double simd_scalar_rps = median(scalar_legs);
+    const double simd_speedup = median(simd_ratios);
     const bool simd_active =
         util::simd::activeLevel() != util::simd::Level::Scalar;
     record.addScalar("simd_records_per_sec", simd_rps);
     record.addScalar("simd_scalar_records_per_sec",
                      simd_scalar_rps);
-    record.addScalar("simd_speedup", simd_rps / simd_scalar_rps);
+    record.addScalar("simd_speedup", simd_speedup);
     record.addScalar("simd_active", simd_active ? 1.0 : 0.0);
 
     // Tournament A/B/C: the combining fused path should recover most
@@ -508,7 +526,8 @@ main(int argc, char **argv)
                      util::simd::activeLevel())
               << "): " << simd_rps << " records/sec, scalar soa: "
               << simd_scalar_rps << " records/sec, simd_speedup: "
-              << simd_rps / simd_scalar_rps << "x\n"
+              << simd_speedup << "x (median of " << kSimdPairs
+              << " pairs)\n"
               << "peak rss: " << peak_rss_bytes / (1024.0 * 1024.0)
               << " MiB\n";
     return 0;

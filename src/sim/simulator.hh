@@ -73,8 +73,9 @@ class Simulator
     explicit Simulator(const isa::Program &program);
 
     /**
-     * Runs until Halt, the instruction cap, or the sink stops it.
-     * May be called only once per Simulator instance.
+     * Runs until Halt, the instruction cap, or the sink stops it. A
+     * null @p sink receives nothing and never stops the run. May be
+     * called only once per Simulator instance.
      */
     SimResult run(const BranchSink &sink,
                   const SimOptions &options = SimOptions{});
@@ -87,12 +88,22 @@ class Simulator
     const Memory &memory() const { return memory_; }
 
   private:
-    void resetCpu();
+    friend trace::TraceBuffer collectTrace(const isa::Program &,
+                                           std::uint64_t,
+                                           std::uint64_t);
+
+    /**
+     * The interpreter loop. @p sink is called once per executed
+     * branch; taking it as a template parameter lets collectTrace's
+     * append inline into the loop instead of going through a
+     * std::function per branch.
+     */
+    template <typename Sink>
+    SimResult runWith(Sink &&sink, const SimOptions &options);
 
     const isa::Program &program_;
     Memory memory_;
     std::uint64_t regs_[isa::kNumRegisters] = {};
-    std::uint64_t pc_ = 0;
     bool ran_ = false;
 };
 

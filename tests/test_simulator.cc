@@ -11,6 +11,7 @@
 
 #include "isa/program.hh"
 #include "sim/simulator.hh"
+#include "workloads/workload.hh"
 
 namespace tlat::sim
 {
@@ -84,6 +85,58 @@ TEST(Simulator, DivisionByZeroIsDefined)
     auto s = run(b);
     EXPECT_EQ(s->reg(3), 0u);   // div by zero -> 0
     EXPECT_EQ(s->reg(4), 42u);  // rem by zero -> dividend
+}
+
+TEST(Simulator, DivisionOverflowIsDefined)
+{
+    // INT64_MIN / -1 overflows; on x86 the hardware divide traps.
+    ProgramBuilder b("divovf");
+    b.li(1, 1);
+    b.slli(1, 1, 63); // INT64_MIN
+    b.li(2, -1);
+    b.div(3, 1, 2);
+    b.rem(4, 1, 2);
+    b.li(5, 7);
+    b.div(6, 5, 2);
+    b.rem(7, 5, 2);
+    b.halt();
+    auto s = run(b);
+    EXPECT_EQ(s->reg(3), std::uint64_t{1} << 63); // wraps to INT64_MIN
+    EXPECT_EQ(s->reg(4), 0u);
+    EXPECT_EQ(static_cast<std::int64_t>(s->reg(6)), -7);
+    EXPECT_EQ(s->reg(7), 0u);
+}
+
+TEST(Simulator, FtoiOfNanOrOutOfRangeIsInt64Min)
+{
+    ProgramBuilder b("ftoi");
+    b.li(1, 0);
+    b.fcvt(2, 1);
+    b.fdiv(3, 2, 2);    // NaN
+    b.ftoi(4, 3);
+    b.li(5, 1);
+    b.slli(5, 5, 62);
+    b.fcvt(6, 5);       // 2^62
+    b.fmul(7, 6, 6);    // 2^124
+    b.ftoi(8, 7);
+    b.fneg(9, 7);       // -2^124
+    b.ftoi(10, 9);
+    b.slli(11, 5, 1);   // INT64_MIN
+    b.fcvt(12, 11);     // -2^63, the one in-range edge
+    b.ftoi(13, 12);
+    b.fneg(14, 12);     // 2^63, just out of range
+    b.ftoi(15, 14);
+    b.loadDouble(16, -2.75);
+    b.ftoi(17, 16);     // truncates toward zero
+    b.halt();
+    auto s = run(b);
+    constexpr std::uint64_t kInt64Min = std::uint64_t{1} << 63;
+    EXPECT_EQ(s->reg(4), kInt64Min);
+    EXPECT_EQ(s->reg(8), kInt64Min);
+    EXPECT_EQ(s->reg(10), kInt64Min);
+    EXPECT_EQ(s->reg(13), kInt64Min);
+    EXPECT_EQ(s->reg(15), kInt64Min);
+    EXPECT_EQ(static_cast<std::int64_t>(s->reg(17)), -2);
 }
 
 TEST(Simulator, LogicAndShifts)
@@ -418,6 +471,60 @@ TEST(Simulator, CollectTraceZeroBudgetRunsToHalt)
     Program p = b.build();
     const trace::TraceBuffer buffer = collectTrace(p, 0);
     EXPECT_EQ(buffer.size(), 1u);
+}
+
+TEST(Simulator, CollectTraceReservesTheBudget)
+{
+    // The budget is exact for the conditional mirror and a lower
+    // bound for all records, which also hold calls and returns.
+    const Program p = workloads::makeWorkload("gcc")->buildTest();
+    constexpr std::uint64_t kBudget = 5000;
+    const trace::TraceBuffer buffer = collectTrace(p, kBudget);
+    EXPECT_EQ(buffer.conditionalCount(), kBudget);
+    EXPECT_GT(buffer.size(), kBudget);
+    EXPECT_EQ(buffer.conditionalCapacity(), kBudget);
+    EXPECT_GE(buffer.recordCapacity(), buffer.size());
+}
+
+TEST(Simulator, RunWrapperMatchesCollectTrace)
+{
+    // collectTrace drives the loop with an inlined append; run() goes
+    // through a BranchSink. Under the same cap both must see the same
+    // instructions, branches and mix, and a null sink the same counts.
+    const Program p = workloads::makeWorkload("gcc")->buildTest();
+    constexpr std::uint64_t kCap = 250001;
+    const trace::TraceBuffer collected =
+        collectTrace(p, std::uint64_t{1} << 40, kCap);
+
+    SimOptions options;
+    options.maxInstructions = kCap;
+    options.restartOnHalt = true;
+    trace::TraceBuffer sunk;
+    Simulator with_sink(p);
+    const SimResult a = with_sink.run(
+        [&](const BranchRecord &record) {
+            sunk.append(record);
+            return true;
+        },
+        options);
+    Simulator without_sink(p);
+    const SimResult b = without_sink.run(nullptr, options);
+
+    EXPECT_EQ(sunk.records(), collected.records());
+    for (const SimResult &result : {a, b}) {
+        EXPECT_EQ(result.stopReason, StopReason::InstructionCap);
+        EXPECT_EQ(result.instructions, kCap);
+        EXPECT_EQ(result.branches, collected.size());
+        EXPECT_EQ(result.conditionalBranches,
+                  collected.conditionalCount());
+        EXPECT_EQ(result.mix.intAlu, collected.mix().intAlu);
+        EXPECT_EQ(result.mix.fpAlu, collected.mix().fpAlu);
+        EXPECT_EQ(result.mix.memory, collected.mix().memory);
+        EXPECT_EQ(result.mix.controlFlow, collected.mix().controlFlow);
+        EXPECT_EQ(result.mix.other, collected.mix().other);
+    }
+    for (unsigned r = 0; r < isa::kNumRegisters; ++r)
+        EXPECT_EQ(with_sink.reg(r), without_sink.reg(r)) << "r" << r;
 }
 
 TEST(SimulatorDeath, PcOffEndIsFatal)

@@ -21,7 +21,7 @@ regressions these gates exist to catch:
 * ``simd_speedup`` — the vectorized fused kernel (runtime-dispatched
   AVX2/NEON) over the same SoA run with the SIMD level pinned to
   Scalar (which routes through the pre-SIMD lane-prober path), AT
-  (IHRT) scheme. On hosts where a vector level is active
+  (IHRT) scheme, as the median of seven interleaved pairs. On hosts where a vector level is active
   (``simd_active`` == 1) the gate is
   ``max(1.5, baseline * (1 - tolerance))`` — the 1.5x hard floor is
   the acceptance bar for shipping the vector kernels. On scalar-only
