@@ -186,6 +186,43 @@ concept AutomatonPolicy =
         { ops.next(state, taken) } -> std::same_as<std::uint8_t>;
     };
 
+/**
+ * The one runtime-to-compile-time automaton dispatch: calls @p f with
+ * CounterOps(@p counter_bits) when @p counter_bits is non-zero, else
+ * with AutomatonOps<@p kind>{}, so a fused loop instantiated inside
+ * @p f sees lambda and delta as inlined loads. Returns false without
+ * calling @p f when @p kind names no automaton; the caller then takes
+ * its reference loop.
+ */
+template <typename F>
+bool
+visitAutomaton(AutomatonKind kind, unsigned counter_bits, F &&f)
+{
+    if (counter_bits > 0) {
+        f(CounterOps(counter_bits));
+        return true;
+    }
+    switch (kind) {
+      case AutomatonKind::LastTime:
+        f(AutomatonOps<AutomatonKind::LastTime>{});
+        return true;
+      case AutomatonKind::A1:
+        f(AutomatonOps<AutomatonKind::A1>{});
+        return true;
+      case AutomatonKind::A2:
+        f(AutomatonOps<AutomatonKind::A2>{});
+        return true;
+      case AutomatonKind::A3:
+        f(AutomatonOps<AutomatonKind::A3>{});
+        return true;
+      case AutomatonKind::A4:
+        f(AutomatonOps<AutomatonKind::A4>{});
+        return true;
+      default:
+        return false;
+    }
+}
+
 /** Parses "LT", "A1".."A4" (as used in Table 2 scheme names). */
 std::optional<AutomatonKind> automatonFromName(const std::string &name);
 

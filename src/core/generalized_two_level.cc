@@ -281,31 +281,10 @@ GeneralizedTwoLevelPredictor::simulateBatch(
             return;
         }
     }
-    switch (config_.automaton) {
-      case AutomatonKind::LastTime:
-        fusedBatchSoa(AutomatonOps<AutomatonKind::LastTime>{}, view,
-                      accuracy);
-        break;
-      case AutomatonKind::A1:
-        fusedBatchSoa(AutomatonOps<AutomatonKind::A1>{}, view,
-                      accuracy);
-        break;
-      case AutomatonKind::A2:
-        fusedBatchSoa(AutomatonOps<AutomatonKind::A2>{}, view,
-                      accuracy);
-        break;
-      case AutomatonKind::A3:
-        fusedBatchSoa(AutomatonOps<AutomatonKind::A3>{}, view,
-                      accuracy);
-        break;
-      case AutomatonKind::A4:
-        fusedBatchSoa(AutomatonOps<AutomatonKind::A4>{}, view,
-                      accuracy);
-        break;
-      default:
+    if (!visitAutomaton(config_.automaton, 0, [&](const auto &ops) {
+            fusedBatchSoa(ops, view, accuracy);
+        }))
         simulateBatch(view.records(), accuracy);
-        break;
-    }
 }
 
 void
@@ -313,31 +292,10 @@ GeneralizedTwoLevelPredictor::simulateBatch(
     std::span<const trace::BranchRecord> records,
     AccuracyCounter &accuracy)
 {
-    switch (config_.automaton) {
-      case AutomatonKind::LastTime:
-        fusedBatch(AutomatonOps<AutomatonKind::LastTime>{}, records,
-                   accuracy);
-        break;
-      case AutomatonKind::A1:
-        fusedBatch(AutomatonOps<AutomatonKind::A1>{}, records,
-                   accuracy);
-        break;
-      case AutomatonKind::A2:
-        fusedBatch(AutomatonOps<AutomatonKind::A2>{}, records,
-                   accuracy);
-        break;
-      case AutomatonKind::A3:
-        fusedBatch(AutomatonOps<AutomatonKind::A3>{}, records,
-                   accuracy);
-        break;
-      case AutomatonKind::A4:
-        fusedBatch(AutomatonOps<AutomatonKind::A4>{}, records,
-                   accuracy);
-        break;
-      default:
+    if (!visitAutomaton(config_.automaton, 0, [&](const auto &ops) {
+            fusedBatch(ops, records, accuracy);
+        }))
         BranchPredictor::simulateBatch(records, accuracy);
-        break;
-    }
 }
 
 void

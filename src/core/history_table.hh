@@ -635,6 +635,51 @@ class HashedTable : public HistoryTable<Entry>
     std::vector<std::uint64_t> lines_;
 };
 
+/**
+ * Builds an empty HRT of flavour @p kind whose entries start as
+ * @p initial. @p entries and @p ways give the AHRT geometry
+ * (@p entries alone the HHRT's); the IHRT ignores both. @p hash
+ * applies to the HHRT only.
+ */
+template <typename Entry>
+std::unique_ptr<HistoryTable<Entry>>
+makeHistoryTable(TableKind kind, std::size_t entries, unsigned ways,
+                 Entry initial, unsigned addr_shift,
+                 HashKind hash = HashKind::LowBits)
+{
+    switch (kind) {
+      case TableKind::Ideal:
+        return std::make_unique<IdealTable<Entry>>(initial);
+      case TableKind::Associative:
+        return std::make_unique<AssociativeTable<Entry>>(
+            entries, ways, initial, addr_shift);
+      case TableKind::Hashed:
+        return std::make_unique<HashedTable<Entry>>(
+            entries, initial, addr_shift, hash);
+    }
+    tlat_panic("unhandled HRT kind");
+}
+
+/**
+ * Calls @p f with @p table downcast to its concrete flavour, so a
+ * fused loop instantiated inside @p f probes through the non-virtual
+ * lookupDirect(); returns what @p f returns.
+ */
+template <typename Entry, typename F>
+decltype(auto)
+visitTable(HistoryTable<Entry> &table, F &&f)
+{
+    switch (table.kind()) {
+      case TableKind::Ideal:
+        return f(static_cast<IdealTable<Entry> &>(table));
+      case TableKind::Associative:
+        return f(static_cast<AssociativeTable<Entry> &>(table));
+      case TableKind::Hashed:
+        return f(static_cast<HashedTable<Entry> &>(table));
+    }
+    tlat_panic("unhandled HRT kind");
+}
+
 } // namespace tlat::core
 
 #endif // TLAT_CORE_HISTORY_TABLE_HH

@@ -64,32 +64,26 @@ namespace tlat::core
  * The fused-pass automaton tables for @p kind, or for an n-bit
  * saturating counter when @p counter_bits is non-zero; nullopt when
  * the policy does not fit the kernels' 16-entry nibble LUTs
- * (counters wider than 4 bits).
+ * (counters wider than 4 bits) or @p kind has none.
  */
 inline std::optional<util::simd::FusedLuts>
 fusedLutsFor(AutomatonKind kind, unsigned counter_bits = 0)
 {
-    util::simd::FusedLuts luts{};
-    if (counter_bits > 0) {
-        if (counter_bits > 4)
-            return std::nullopt;
-        const CounterOps ops(counter_bits);
-        for (unsigned s = 0; s < (1u << counter_bits); ++s) {
-            const auto state = static_cast<std::uint8_t>(s);
-            luts.predict[s] = ops.predict(state) ? 1 : 0;
-            luts.nextTaken[s] = ops.next(state, true);
-            luts.nextNotTaken[s] = ops.next(state, false);
-        }
-        return luts;
-    }
-    if (kind >= AutomatonKind::NumKinds)
+    if (counter_bits > 4)
         return std::nullopt;
-    const AutomatonSpec &spec = automatonSpec(kind);
-    for (unsigned s = 0; s < spec.numStates; ++s) {
-        luts.predict[s] = spec.predictTaken[s] ? 1 : 0;
-        luts.nextTaken[s] = spec.nextState[s][1];
-        luts.nextNotTaken[s] = spec.nextState[s][0];
-    }
+    // Every state index a policy can reach; the two-state LT's unused
+    // rows 2 and 3 predict not-taken and step to 0, as zeroed LUTs do.
+    const unsigned states = counter_bits > 0 ? 1u << counter_bits : 4;
+    util::simd::FusedLuts luts{};
+    if (!visitAutomaton(kind, counter_bits, [&](const auto &ops) {
+            for (unsigned s = 0; s < states; ++s) {
+                const auto state = static_cast<std::uint8_t>(s);
+                luts.predict[s] = ops.predict(state) ? 1 : 0;
+                luts.nextTaken[s] = ops.next(state, true);
+                luts.nextNotTaken[s] = ops.next(state, false);
+            }
+        }))
+        return std::nullopt;
     return luts;
 }
 

@@ -127,20 +127,11 @@ class PatternTable
         return ops.predict(states_[index(pattern)]);
     }
 
-    /** delta through a compile-time policy; twin of update(). */
-    template <AutomatonPolicy Ops>
-    void
-    updateWith(const Ops &ops, std::uint32_t pattern, bool taken)
-    {
-        std::uint8_t &state = states_[index(pattern)];
-        state = ops.next(state, taken);
-    }
-
     /**
      * Direct entry access for the fused loop: index once, then apply
-     * lambda and delta to the same reference — equivalent to
-     * predictWith() followed by updateWith() on the same pattern,
-     * minus the second index computation.
+     * lambda and delta (ops.predict/ops.next) to the same reference —
+     * equivalent to predict() followed by update() on the same
+     * pattern, minus the second index computation.
      */
     std::uint8_t &
     stateAt(std::uint32_t pattern)

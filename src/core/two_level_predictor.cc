@@ -10,7 +10,6 @@
 #include "checkpoint.hh"
 #include "contracts.hh"
 #include "lane_prober.hh"
-#include "util/logging.hh"
 #include "util/simd.hh"
 #include "util/string_utils.hh"
 
@@ -50,20 +49,9 @@ TwoLevelPredictor::TwoLevelPredictor(const TwoLevelConfig &config)
 std::unique_ptr<HistoryTable<TwoLevelPredictor::HrtEntry>>
 TwoLevelPredictor::makeHrt() const
 {
-    switch (config_.hrtKind) {
-      case TableKind::Ideal:
-        return std::make_unique<IdealTable<HrtEntry>>(
-            initial_entry_);
-      case TableKind::Associative:
-        return std::make_unique<AssociativeTable<HrtEntry>>(
-            config_.hrtEntries, config_.associativity,
-            initial_entry_, config_.addrShift);
-      case TableKind::Hashed:
-        return std::make_unique<HashedTable<HrtEntry>>(
-            config_.hrtEntries, initial_entry_, config_.addrShift,
-            config_.hhrtHash);
-    }
-    tlat_panic("unhandled HRT kind");
+    return makeHistoryTable(config_.hrtKind, config_.hrtEntries,
+                            config_.associativity, initial_entry_,
+                            config_.addrShift, config_.hhrtHash);
 }
 
 std::string
@@ -297,85 +285,6 @@ TwoLevelPredictor::fusedBatchSoa(Prober &prober, const Ops &ops,
     }
 }
 
-template <typename Table>
-void
-TwoLevelPredictor::dispatchAutomaton(Table &table,
-                                     std::span<
-                                         const trace::BranchRecord>
-                                         records,
-                                     AccuracyCounter &accuracy)
-{
-    if (config_.counterBits > 0) {
-        fusedBatch(table, CounterOps(config_.counterBits), records,
-                   accuracy);
-        return;
-    }
-    switch (config_.automaton) {
-      case AutomatonKind::LastTime:
-        fusedBatch(table, AutomatonOps<AutomatonKind::LastTime>{},
-                   records, accuracy);
-        break;
-      case AutomatonKind::A1:
-        fusedBatch(table, AutomatonOps<AutomatonKind::A1>{}, records,
-                   accuracy);
-        break;
-      case AutomatonKind::A2:
-        fusedBatch(table, AutomatonOps<AutomatonKind::A2>{}, records,
-                   accuracy);
-        break;
-      case AutomatonKind::A3:
-        fusedBatch(table, AutomatonOps<AutomatonKind::A3>{}, records,
-                   accuracy);
-        break;
-      case AutomatonKind::A4:
-        fusedBatch(table, AutomatonOps<AutomatonKind::A4>{}, records,
-                   accuracy);
-        break;
-      default:
-        BranchPredictor::simulateBatch(records, accuracy);
-        break;
-    }
-}
-
-template <typename Prober>
-void
-TwoLevelPredictor::dispatchAutomatonSoa(
-    Prober &prober, const trace::PredecodedView &view,
-    AccuracyCounter &accuracy)
-{
-    if (config_.counterBits > 0) {
-        fusedBatchSoa(prober, CounterOps(config_.counterBits), view,
-                      accuracy);
-        return;
-    }
-    switch (config_.automaton) {
-      case AutomatonKind::LastTime:
-        fusedBatchSoa(prober,
-                      AutomatonOps<AutomatonKind::LastTime>{}, view,
-                      accuracy);
-        break;
-      case AutomatonKind::A1:
-        fusedBatchSoa(prober, AutomatonOps<AutomatonKind::A1>{},
-                      view, accuracy);
-        break;
-      case AutomatonKind::A2:
-        fusedBatchSoa(prober, AutomatonOps<AutomatonKind::A2>{},
-                      view, accuracy);
-        break;
-      case AutomatonKind::A3:
-        fusedBatchSoa(prober, AutomatonOps<AutomatonKind::A3>{},
-                      view, accuracy);
-        break;
-      case AutomatonKind::A4:
-        fusedBatchSoa(prober, AutomatonOps<AutomatonKind::A4>{},
-                      view, accuracy);
-        break;
-      default:
-        simulateBatch(view.records(), accuracy);
-        break;
-    }
-}
-
 bool
 TwoLevelPredictor::tryLanePass(const trace::PredecodedView &view,
                                AccuracyCounter &accuracy)
@@ -486,8 +395,12 @@ TwoLevelPredictor::simulateBatch(const trace::PredecodedView &view,
         IdealLaneProber<HrtEntry> prober(
             static_cast<IdealTable<HrtEntry> &>(*hrt_),
             view.soa().uniquePcs());
-        dispatchAutomatonSoa(prober, view, accuracy);
-        return;
+        if (visitAutomaton(config_.automaton, config_.counterBits,
+                           [&](const auto &ops) {
+                               fusedBatchSoa(prober, ops, view,
+                                             accuracy);
+                           }))
+            return;
     }
     // A warm AHRT, or an HHRT in a mode the lane pass does not cover:
     // the AoS loop derives the index from the pc as cheaply as a lane
@@ -504,29 +417,24 @@ TwoLevelPredictor::simulateBatch(std::span<const trace::BranchRecord>
     // A live lookup memo (a predict() awaiting its update()) or
     // in-flight speculation means we are mid predict/update pair;
     // only the reference loop reproduces the memo'd probe accounting
-    // exactly, so defer to it. The harness never hits this — it is a
-    // guard for direct API users.
-    if (last_entry_ != nullptr || !in_flight_.empty()) {
+    // exactly, so defer to it, as for an automaton kind with no
+    // policy. The harness never hits this — it is a guard for direct
+    // API users. The per-table visitor stays out of line, one function
+    // per HRT flavour: inlined into visitTable, all fifteen loops
+    // shared one function's registers and the warm AHRT loop spilled
+    // its bounds (about 7% more per branch).
+    const bool fused =
+        last_entry_ == nullptr && in_flight_.empty() &&
+        visitTable(*hrt_, [&](auto &table) __attribute__((noinline)) {
+            return visitAutomaton(config_.automaton,
+                                  config_.counterBits,
+                                  [&](const auto &ops) {
+                                      fusedBatch(table, ops, records,
+                                                 accuracy);
+                                  });
+        });
+    if (!fused)
         BranchPredictor::simulateBatch(records, accuracy);
-        return;
-    }
-    switch (config_.hrtKind) {
-      case TableKind::Ideal:
-        dispatchAutomaton(
-            static_cast<IdealTable<HrtEntry> &>(*hrt_), records,
-            accuracy);
-        break;
-      case TableKind::Associative:
-        dispatchAutomaton(
-            static_cast<AssociativeTable<HrtEntry> &>(*hrt_), records,
-            accuracy);
-        break;
-      case TableKind::Hashed:
-        dispatchAutomaton(
-            static_cast<HashedTable<HrtEntry> &>(*hrt_), records,
-            accuracy);
-        break;
-    }
 }
 
 void

@@ -113,11 +113,11 @@ class TwoLevelPredictor : public BranchPredictor
     /**
      * SoA fast path over a predecoded trace: the lane pass
      * (tryLanePass) where eligible; otherwise the IHRT probes through
-     * a per-id pointer lane, and an AHRT or HHRT takes the AoS loop. Same strict bit-equivalence contract as the
-     * AoS overload, against the same reference loop; falls back to
-     * the AoS twin (and through it to the reference loop) whenever
-     * mid-pair memo state or in-flight speculation makes the fused
-     * path unsafe.
+     * a per-id pointer lane, and an AHRT or HHRT takes the AoS loop.
+     * Same strict bit-equivalence contract as the AoS overload,
+     * against the same reference loop; falls back to the AoS twin
+     * (and through it to the reference loop) whenever mid-pair memo
+     * state or in-flight speculation makes the fused path unsafe.
      */
     void simulateBatch(const trace::PredecodedView &view,
                        AccuracyCounter &accuracy) override;
@@ -182,30 +182,24 @@ class TwoLevelPredictor : public BranchPredictor
      */
     std::unique_ptr<HistoryTable<HrtEntry>> makeHrt() const;
 
-    /** Fused loop body, monomorphized over (HRT type, automaton). */
+    /**
+     * Fused loop body, monomorphized over (HRT type, automaton) by
+     * visitTable() x visitAutomaton().
+     */
     template <typename Table, AutomatonPolicy Ops>
     void fusedBatch(Table &table, const Ops &ops,
                     std::span<const trace::BranchRecord> records,
                     AccuracyCounter &accuracy);
 
-    /** Second dispatch level: automaton/counter policy selection. */
-    template <typename Table>
-    void dispatchAutomaton(Table &table,
-                           std::span<const trace::BranchRecord>
-                               records,
-                           AccuracyCounter &accuracy);
-
-    /** SoA twin of fusedBatch, monomorphized over (prober, policy). */
+    /**
+     * SoA twin of fusedBatch over the IHRT's pointer-lane prober.
+     * Kept as its own loop: sharing one body with fusedBatch measured
+     * slower on the warm AoS loop (DESIGN.md section 8).
+     */
     template <typename Prober, AutomatonPolicy Ops>
     void fusedBatchSoa(Prober &prober, const Ops &ops,
                        const trace::PredecodedView &view,
                        AccuracyCounter &accuracy);
-
-    /** SoA twin of dispatchAutomaton. */
-    template <typename Prober>
-    void dispatchAutomatonSoa(Prober &prober,
-                              const trace::PredecodedView &view,
-                              AccuracyCounter &accuracy);
 
     /**
      * The lane pass (core/lane_prober.hh). Key observation: with no

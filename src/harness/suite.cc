@@ -27,6 +27,18 @@ traceCacheDir()
 
 } // namespace
 
+bool
+budgetFitsMemory(std::uint64_t budget)
+{
+    const long pages = ::sysconf(_SC_PHYS_PAGES);
+    const long page_size = ::sysconf(_SC_PAGESIZE);
+    if (pages <= 0 || page_size <= 0)
+        return true; // unknown: let the allocator decide
+    const std::uint64_t memory = static_cast<std::uint64_t>(pages) *
+                                 static_cast<std::uint64_t>(page_size);
+    return budget <= memory / (2 * sizeof(trace::BranchRecord));
+}
+
 std::uint64_t
 branchBudgetFromEnv()
 {
@@ -34,7 +46,7 @@ branchBudgetFromEnv()
     if (!text)
         return kDefaultBranchBudget;
     const auto value = parseSize(*text);
-    if (!value || *value == 0) {
+    if (!value || *value == 0 || !budgetFitsMemory(*value)) {
         tlat_fatal("bad TLAT_BRANCH_BUDGET value '", *text, "'");
     }
     return *value;

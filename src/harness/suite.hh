@@ -42,7 +42,19 @@ namespace tlat::harness
 /** Default conditional-branch budget per benchmark trace. */
 constexpr std::uint64_t kDefaultBranchBudget = 300000;
 
-/** Reads TLAT_BRANCH_BUDGET, falling back to the default. */
+/**
+ * True when a trace of @p budget conditional branches fits in
+ * physical memory: trace generation reserves two BranchRecord vectors
+ * of @p budget entries up front, so a larger budget can only end in
+ * std::bad_alloc. The one bound both the --budget option and
+ * TLAT_BRANCH_BUDGET check.
+ */
+bool budgetFitsMemory(std::uint64_t budget);
+
+/**
+ * Reads TLAT_BRANCH_BUDGET, falling back to the default; a value that
+ * is not a positive size or fails budgetFitsMemory() is fatal.
+ */
 std::uint64_t branchBudgetFromEnv();
 
 /** Lazily generated, cached traces for the nine benchmarks. */

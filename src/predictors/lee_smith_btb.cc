@@ -5,7 +5,6 @@
 #include "core/checkpoint.hh"
 #include "core/contracts.hh"
 #include "core/lane_prober.hh"
-#include "util/logging.hh"
 #include "util/string_utils.hh"
 
 namespace tlat::predictors
@@ -23,20 +22,9 @@ LeeSmithPredictor::LeeSmithPredictor(const LeeSmithConfig &config)
 std::unique_ptr<core::HistoryTable<Automaton>>
 LeeSmithPredictor::makeTable() const
 {
-    const Automaton initial(config_.automaton);
-    switch (config_.tableKind) {
-      case TableKind::Ideal:
-        return std::make_unique<core::IdealTable<Automaton>>(
-            initial);
-      case TableKind::Associative:
-        return std::make_unique<core::AssociativeTable<Automaton>>(
-            config_.entries, config_.associativity, initial,
-            config_.addrShift);
-      case TableKind::Hashed:
-        return std::make_unique<core::HashedTable<Automaton>>(
-            config_.entries, initial, config_.addrShift);
-    }
-    tlat_panic("unhandled table kind");
+    return core::makeHistoryTable(
+        config_.tableKind, config_.entries, config_.associativity,
+        Automaton(config_.automaton), config_.addrShift);
 }
 
 std::string
@@ -76,174 +64,86 @@ LeeSmithPredictor::update(const trace::BranchRecord &record)
     last_entry_ = nullptr;
 }
 
-template <typename Table, core::AutomatonPolicy Ops>
-void
-LeeSmithPredictor::fusedBatch(
-    Table &table, const Ops &ops,
-    std::span<const trace::BranchRecord> records,
-    AccuracyCounter &accuracy)
+template <typename Walk>
+bool
+LeeSmithPredictor::fusedLoop(Walk &&walk, AccuracyCounter &accuracy)
 {
-    for (const trace::BranchRecord &record : records) {
-        if (record.cls != trace::BranchClass::Conditional)
-            continue;
-        // One probe per branch; the reference pair does the same via
-        // the predict()/update() memo, so the table statistics match.
-        Automaton &automaton = table.lookupDirect(record.pc);
-        const bool predicted = ops.predict(automaton.state());
-        accuracy.record(predicted == record.taken);
-        automaton.setState(ops.next(automaton.state(), record.taken));
-    }
-}
-
-template <typename Table>
-void
-LeeSmithPredictor::dispatchAutomaton(
-    Table &table, std::span<const trace::BranchRecord> records,
-    AccuracyCounter &accuracy)
-{
-    using core::AutomatonKind;
-    using core::AutomatonOps;
-    switch (config_.automaton) {
-      case AutomatonKind::LastTime:
-        fusedBatch(table, AutomatonOps<AutomatonKind::LastTime>{},
-                   records, accuracy);
-        break;
-      case AutomatonKind::A1:
-        fusedBatch(table, AutomatonOps<AutomatonKind::A1>{}, records,
-                   accuracy);
-        break;
-      case AutomatonKind::A2:
-        fusedBatch(table, AutomatonOps<AutomatonKind::A2>{}, records,
-                   accuracy);
-        break;
-      case AutomatonKind::A3:
-        fusedBatch(table, AutomatonOps<AutomatonKind::A3>{}, records,
-                   accuracy);
-        break;
-      case AutomatonKind::A4:
-        fusedBatch(table, AutomatonOps<AutomatonKind::A4>{}, records,
-                   accuracy);
-        break;
-      default:
-        BranchPredictor::simulateBatch(records, accuracy);
-        break;
-    }
-}
-
-template <typename Prober, core::AutomatonPolicy Ops>
-void
-LeeSmithPredictor::fusedBatchSoa(Prober &prober, const Ops &ops,
-                                 const trace::PredecodedView &view,
-                                 AccuracyCounter &accuracy)
-{
-    // Mirrors fusedBatch(); only the operand sources differ (index
-    // lane probe + packed outcome bit), so the equivalence argument
-    // carries over unchanged.
-    const trace::PredecodedTrace &soa = view.soa();
-    const std::span<const trace::BranchId> ids = soa.branchIds();
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-        Automaton &automaton = prober.probe(ids[i]);
-        const bool taken = soa.taken(i);
-        const bool predicted = ops.predict(automaton.state());
-        accuracy.record(predicted == taken);
-        automaton.setState(ops.next(automaton.state(), taken));
-    }
-}
-
-template <typename Prober>
-void
-LeeSmithPredictor::dispatchAutomatonSoa(
-    Prober &prober, const trace::PredecodedView &view,
-    AccuracyCounter &accuracy)
-{
-    using core::AutomatonKind;
-    using core::AutomatonOps;
-    switch (config_.automaton) {
-      case AutomatonKind::LastTime:
-        fusedBatchSoa(prober,
-                      AutomatonOps<AutomatonKind::LastTime>{}, view,
-                      accuracy);
-        break;
-      case AutomatonKind::A1:
-        fusedBatchSoa(prober, AutomatonOps<AutomatonKind::A1>{},
-                      view, accuracy);
-        break;
-      case AutomatonKind::A2:
-        fusedBatchSoa(prober, AutomatonOps<AutomatonKind::A2>{},
-                      view, accuracy);
-        break;
-      case AutomatonKind::A3:
-        fusedBatchSoa(prober, AutomatonOps<AutomatonKind::A3>{},
-                      view, accuracy);
-        break;
-      case AutomatonKind::A4:
-        fusedBatchSoa(prober, AutomatonOps<AutomatonKind::A4>{},
-                      view, accuracy);
-        break;
-      default:
-        simulateBatch(view.records(), accuracy);
-        break;
-    }
+    return core::visitAutomaton(
+        config_.automaton, 0, [&](const auto &ops) {
+            walk([&](Automaton &automaton, bool taken) {
+                const bool predicted = ops.predict(automaton.state());
+                accuracy.record(predicted == taken);
+                automaton.setState(ops.next(automaton.state(), taken));
+            });
+        });
 }
 
 void
 LeeSmithPredictor::simulateBatch(const trace::PredecodedView &view,
                                  AccuracyCounter &accuracy)
 {
-    if (last_entry_ != nullptr) {
-        // Mid predict/update pair: the AoS twin owns the fallback to
-        // the reference loop, which honours the memo.
-        simulateBatch(view.records(), accuracy);
-        return;
-    }
-    switch (config_.tableKind) {
-      case TableKind::Ideal: {
-        core::IdealLaneProber<Automaton> prober(
-            static_cast<core::IdealTable<Automaton> &>(*table_),
-            view.soa().uniquePcs());
-        dispatchAutomatonSoa(prober, view, accuracy);
-        break;
-      }
-      case TableKind::Associative: {
-        // A cold AHRT is one fused pass over a dense copy of the
-        // automaton states, indexed by the slot each record is served
-        // from: the slot plays the pattern table's part. A warm one
-        // takes the AoS loop, which derives set and tag from the pc
-        // as cheaply as a lane would.
-        const trace::PredecodedTrace &soa = view.soa();
-        const auto luts = core::fusedLutsFor(config_.automaton);
-        if (luts &&
-            core::coldAhrtPass<std::uint8_t>(
-                static_cast<core::AssociativeTable<Automaton> &>(
-                    *table_),
-                soa,
-                [](const Automaton &automaton) {
-                    return automaton.state();
-                },
-                [&](std::uint8_t *states, const auto &slot_of) {
-                    core::fusedLanePass(
-                        soa,
-                        [&](std::size_t i) {
-                            return static_cast<std::uint32_t>(
-                                slot_of(i));
-                        },
-                        states, *luts, accuracy);
-                },
-                [](Automaton &automaton, std::uint8_t state) {
-                    automaton.setState(state);
-                }))
+    const trace::PredecodedTrace &soa = view.soa();
+    // The ideal and hashed tables walk the ids through a lane prober,
+    // with outcomes from the packed bitvector.
+    const auto probeEach = [&](auto &&prober) {
+        return fusedLoop(
+            [&](auto &&step) {
+                const std::span<const trace::BranchId> ids =
+                    soa.branchIds();
+                for (std::size_t i = 0; i < ids.size(); ++i)
+                    step(prober.probe(ids[i]), soa.taken(i));
+            },
+            accuracy);
+    };
+    // Mid predict/update pair, the AoS twin owns the fallback to the
+    // reference loop, which honours the memo.
+    bool fused = false;
+    if (last_entry_ == nullptr) {
+        switch (config_.tableKind) {
+          case TableKind::Ideal:
+            fused = probeEach(core::IdealLaneProber<Automaton>(
+                static_cast<core::IdealTable<Automaton> &>(*table_),
+                soa.uniquePcs()));
             break;
-        simulateBatch(view.records(), accuracy);
-        break;
-      }
-      case TableKind::Hashed: {
-        core::HashedLaneProber<Automaton> prober(
-            static_cast<core::HashedTable<Automaton> &>(*table_),
-            view.soa());
-        dispatchAutomatonSoa(prober, view, accuracy);
-        break;
-      }
+          case TableKind::Associative: {
+            // A cold AHRT is one fused pass over a dense copy of the
+            // automaton states, indexed by the slot each record is
+            // served from: the slot plays the pattern table's part.
+            // A warm one takes the AoS loop, which derives set and
+            // tag from the pc as cheaply as a lane would.
+            const auto luts = core::fusedLutsFor(config_.automaton);
+            fused =
+                luts &&
+                core::coldAhrtPass<std::uint8_t>(
+                    static_cast<core::AssociativeTable<Automaton> &>(
+                        *table_),
+                    soa,
+                    [](const Automaton &automaton) {
+                        return automaton.state();
+                    },
+                    [&](std::uint8_t *states, const auto &slot_of) {
+                        core::fusedLanePass(
+                            soa,
+                            [&](std::size_t i) {
+                                return static_cast<std::uint32_t>(
+                                    slot_of(i));
+                            },
+                            states, *luts, accuracy);
+                    },
+                    [](Automaton &automaton, std::uint8_t state) {
+                        automaton.setState(state);
+                    });
+            break;
+          }
+          case TableKind::Hashed:
+            fused = probeEach(core::HashedLaneProber<Automaton>(
+                static_cast<core::HashedTable<Automaton> &>(*table_),
+                soa));
+            break;
+        }
     }
+    if (!fused)
+        simulateBatch(view.records(), accuracy);
 }
 
 void
@@ -251,29 +151,28 @@ LeeSmithPredictor::simulateBatch(
     std::span<const trace::BranchRecord> records,
     AccuracyCounter &accuracy)
 {
-    if (last_entry_ != nullptr) {
-        // Mid predict/update pair: the memo models a shared physical
-        // access, so hand off to the reference loop which honours it.
+    // Mid predict/update pair, the memo models a shared physical
+    // access, so hand off to the reference loop which honours it; so
+    // too for an automaton kind with no policy. One probe per branch
+    // otherwise: the reference pair does the same via the memo, so
+    // the table statistics match. The per-table visitor stays out of
+    // line for the reason TwoLevelPredictor's does (registers).
+    const bool fused =
+        last_entry_ == nullptr &&
+        core::visitTable(*table_, [&](auto &table)
+                                      __attribute__((noinline)) {
+            return fusedLoop(
+                [&](auto &&step) {
+                    for (const trace::BranchRecord &record : records) {
+                        if (record.cls != trace::BranchClass::Conditional)
+                            continue;
+                        step(table.lookupDirect(record.pc), record.taken);
+                    }
+                },
+                accuracy);
+        });
+    if (!fused)
         BranchPredictor::simulateBatch(records, accuracy);
-        return;
-    }
-    switch (config_.tableKind) {
-      case TableKind::Ideal:
-        dispatchAutomaton(
-            static_cast<core::IdealTable<Automaton> &>(*table_),
-            records, accuracy);
-        break;
-      case TableKind::Associative:
-        dispatchAutomaton(
-            static_cast<core::AssociativeTable<Automaton> &>(*table_),
-            records, accuracy);
-        break;
-      case TableKind::Hashed:
-        dispatchAutomaton(
-            static_cast<core::HashedTable<Automaton> &>(*table_),
-            records, accuracy);
-        break;
-    }
 }
 
 void

@@ -98,30 +98,16 @@ class LeeSmithPredictor : public core::BranchPredictor
     std::unique_ptr<core::HistoryTable<core::Automaton>>
     makeTable() const;
 
-    /** Fused loop body, monomorphized over (table type, automaton). */
-    template <typename Table, core::AutomatonPolicy Ops>
-    void fusedBatch(Table &table, const Ops &ops,
-                    std::span<const trace::BranchRecord> records,
-                    AccuracyCounter &accuracy);
-
-    /** Second dispatch level: automaton policy selection. */
-    template <typename Table>
-    void dispatchAutomaton(Table &table,
-                           std::span<const trace::BranchRecord>
-                               records,
-                           AccuracyCounter &accuracy);
-
-    /** SoA twin of fusedBatch, monomorphized over (prober, policy). */
-    template <typename Prober, core::AutomatonPolicy Ops>
-    void fusedBatchSoa(Prober &prober, const Ops &ops,
-                       const trace::PredecodedView &view,
-                       AccuracyCounter &accuracy);
-
-    /** SoA twin of dispatchAutomaton. */
-    template <typename Prober>
-    void dispatchAutomatonSoa(Prober &prober,
-                              const trace::PredecodedView &view,
-                              AccuracyCounter &accuracy);
+    /**
+     * The fused loop body, shared by both overloads: @p walk calls
+     * the step it is handed with (entry, outcome) for every
+     * conditional record in trace order, and the step applies
+     * lambda, tally and delta with the automaton dispatched once per
+     * batch (core::visitAutomaton). Returns false, touching nothing,
+     * when the automaton kind has no policy.
+     */
+    template <typename Walk>
+    bool fusedLoop(Walk &&walk, AccuracyCounter &accuracy);
 
     LeeSmithConfig config_;
     std::unique_ptr<core::HistoryTable<core::Automaton>> table_;

@@ -17,21 +17,10 @@ StaticTrainingPredictor::StaticTrainingPredictor(
       counts_(std::size_t{1} << config.historyBits)
 {
     derivePresetBits();
-    const StEntry initial{history_mask_};
-    switch (config_.hrtKind) {
-      case TableKind::Ideal:
-        hrt_ = std::make_unique<core::IdealTable<StEntry>>(initial);
-        break;
-      case TableKind::Associative:
-        hrt_ = std::make_unique<core::AssociativeTable<StEntry>>(
-            config_.hrtEntries, config_.associativity, initial,
-            config_.addrShift);
-        break;
-      case TableKind::Hashed:
-        hrt_ = std::make_unique<core::HashedTable<StEntry>>(
-            config_.hrtEntries, initial, config_.addrShift);
-        break;
-    }
+    hrt_ = core::makeHistoryTable(config_.hrtKind, config_.hrtEntries,
+                                  config_.associativity,
+                                  StEntry{history_mask_},
+                                  config_.addrShift);
 }
 
 std::string

@@ -3,6 +3,8 @@
  * Unit tests for the pattern-history automata of paper Figure 2.
  */
 
+#include <type_traits>
+
 #include <gtest/gtest.h>
 
 #include "core/automaton.hh"
@@ -218,6 +220,57 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Range(0u, static_cast<unsigned>(
                                  AutomatonKind::NumKinds)),
         ::testing::Bool()));
+
+TEST(VisitAutomaton, VisitsThePolicyOfEveryKind)
+{
+    for (unsigned i = 0;
+         i < static_cast<unsigned>(AutomatonKind::NumKinds); ++i) {
+        const auto kind = static_cast<AutomatonKind>(i);
+        const AutomatonSpec &spec = automatonSpec(kind);
+        unsigned calls = 0;
+        EXPECT_TRUE(visitAutomaton(kind, 0, [&](const auto &ops) {
+            ++calls;
+            for (std::uint8_t s = 0; s < spec.numStates; ++s) {
+                EXPECT_EQ(ops.predict(s), spec.predictTaken[s])
+                    << spec.name << " state " << unsigned{s};
+                for (const bool taken : {false, true}) {
+                    EXPECT_EQ(ops.next(s, taken),
+                              spec.nextState[s][taken ? 1 : 0])
+                        << spec.name << " state " << unsigned{s}
+                        << " taken " << taken;
+                }
+            }
+        }));
+        EXPECT_EQ(calls, 1u) << spec.name;
+    }
+}
+
+TEST(VisitAutomaton, CounterBitsVisitCounterOps)
+{
+    // A non-zero width overrides the kind, as in TwoLevelConfig.
+    for (const unsigned bits : {1u, 2u, 5u, 8u}) {
+        bool visited = false;
+        EXPECT_TRUE(visitAutomaton(
+            AutomatonKind::LastTime, bits, [&](const auto &ops) {
+                using Ops = std::decay_t<decltype(ops)>;
+                if constexpr (std::is_same_v<Ops, CounterOps>) {
+                    const CounterOps expected(bits);
+                    EXPECT_EQ(ops.max, expected.max);
+                    EXPECT_EQ(ops.threshold, expected.threshold);
+                    visited = true;
+                }
+            }));
+        EXPECT_TRUE(visited) << bits << " bits: not CounterOps";
+    }
+}
+
+TEST(VisitAutomaton, KindWithoutPolicyIsNotVisited)
+{
+    bool called = false;
+    EXPECT_FALSE(visitAutomaton(AutomatonKind::NumKinds, 0,
+                                [&](const auto &) { called = true; }));
+    EXPECT_FALSE(called);
+}
 
 TEST(Automaton, SetState)
 {

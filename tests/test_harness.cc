@@ -264,5 +264,18 @@ TEST(BranchBudget, EnvOverride)
     EXPECT_EQ(branchBudgetFromEnv(), kDefaultBranchBudget);
 }
 
+TEST(BranchBudget, RejectsTracesLargerThanMemory)
+{
+    // Two 24-byte records per branch: 2^60 branches is far beyond any
+    // host's memory, the default budget far within it.
+    EXPECT_TRUE(budgetFitsMemory(kDefaultBranchBudget));
+    EXPECT_FALSE(budgetFitsMemory(std::uint64_t{1} << 60));
+    EXPECT_FALSE(budgetFitsMemory(~std::uint64_t{0}));
+    ::setenv("TLAT_BRANCH_BUDGET", "2^60", 1);
+    EXPECT_EXIT(branchBudgetFromEnv(), ::testing::ExitedWithCode(1),
+                "bad TLAT_BRANCH_BUDGET value");
+    ::unsetenv("TLAT_BRANCH_BUDGET");
+}
+
 } // namespace
 } // namespace tlat::harness

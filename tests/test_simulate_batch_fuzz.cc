@@ -285,7 +285,9 @@ TEST(SimulateBatchFuzz, TwoLevelCachedSpeculativeAndCounterModes)
           core::TableKind::Hashed}) {
         for (const bool cached : {false, true}) {
             for (const bool speculative : {false, true}) {
-                for (const unsigned counter_bits : {0u, 3u}) {
+                // 5 bits is the first width the lane pass's 16-entry
+                // LUTs reject: the CounterOps prober and AoS loops.
+                for (const unsigned counter_bits : {0u, 3u, 5u}) {
                     TwoLevelConfig config;
                     config.hrtKind = kind;
                     config.hrtEntries = 64;

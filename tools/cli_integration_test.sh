@@ -57,6 +57,9 @@ expect 2 "bad --budget value" run BTFN eqntott --budget twelve
 expect 2 "bad --jobs value" compare BTFN --jobs 0
 expect 2 "missing option value" run BTFN eqntott --budget
 expect 2 "duplicate option" run BTFN eqntott --budget 100 --budget 200
+# A budget whose trace cannot fit in memory is a usage error, checked
+# before anything is allocated (not a std::bad_alloc abort, exit 134).
+expect 2 "budget larger than memory" trace gcc --budget 100000000000
 expect 2 "bad scheme name" run "NotAScheme(x)" eqntott
 expect 2 "bad scheme name (profile)" profile "NotAScheme(x)" eqntott
 expect 2 "bad scheme name (cpi)" cpi "NotAScheme(x)" eqntott

@@ -236,10 +236,11 @@ parseOptions(int argc, char **argv, int first)
             const auto value = next();
             const auto parsed =
                 value ? parseSize(*value) : std::nullopt;
-            if (!parsed) {
+            if (!parsed || !harness::budgetFitsMemory(*parsed)) {
                 if (value)
                     std::cerr << "bad value '" << *value
-                              << "' for --budget\n";
+                              << "' for --budget (want a trace that "
+                                 "fits in memory)\n";
                 return std::nullopt;
             }
             options.budget = *parsed;

@@ -50,6 +50,17 @@ Per-file rules:
                   preset) cannot connect it to the fields it guards;
                   util::Mutex/MutexLock/ConditionVariable can.
 
+  automaton-dispatch
+                  a `case AutomatonKind::` label (qualified or not)
+                  outside src/core/automaton.{hh,cc}: the runtime-to-
+                  compile-time automaton dispatch is
+                  core::visitAutomaton, and a per-class copy of its
+                  switch is a twin that drifts (a new kind, a counter
+                  policy, a drive-path counter landing in one copy
+                  but not the others). The closed-form H2P oracle
+                  (src/workloads/h2p_analytic.hh) is the one other
+                  sanctioned file.
+
   bad-suppression a suppression comment that names an unknown rule or
                   omits its justification is itself an error: a typo'd
                   allow() must never silently suppress nothing (or
@@ -198,6 +209,16 @@ LOCK_SANCTIONED_FILES = (
 # The only file allowed to call getenv(): the util::env front door.
 ENV_SANCTIONED_FILES = ("src/util/env.cc",)
 
+# The only files allowed to switch on an AutomatonKind: the home of
+# core::visitAutomaton, and the closed-form H2P oracle, which maps
+# each kind to a hand-derived formula (not to a policy) and must
+# share no table code with the engines it checks.
+AUTOMATON_DISPATCH_FILES = (
+    "src/core/automaton.hh",
+    "src/core/automaton.cc",
+    "src/workloads/h2p_analytic.hh",
+)
+
 # Thread-safety annotation macros (src/util/thread_annotations.hh)
 # whose presence marks a class as carrying its concurrency contract.
 ANNOTATION_TOKENS = (
@@ -252,6 +273,8 @@ RULES = {
     "(" + LAYER_ORDER_DOC + "), or an include cycle",
     "env-read": "getenv() outside the util::env front door "
     "(src/util/env.cc)",
+    "automaton-dispatch": "`case AutomatonKind::` outside "
+    "src/core/automaton.{hh,cc} (use core::visitAutomaton)",
     "bad-suppression": "tlat-lint: allow(...) naming an unknown rule "
     "or missing its justification",
 }
@@ -760,6 +783,33 @@ def check_env_read(index, findings):
 
 
 # ---------------------------------------------------------------- #
+# rule: automaton-dispatch
+# ---------------------------------------------------------------- #
+
+AUTOMATON_CASE_RE = re.compile(r"\bcase\s+(?:[\w:]*::)?AutomatonKind\s*::")
+
+
+def check_automaton_dispatch(index, findings):
+    sanctioned = set(AUTOMATON_DISPATCH_FILES)
+    for rel, src in sorted(index.by_rel.items()):
+        if rel in sanctioned:
+            continue
+        for number, line in enumerate(src.code_lines, start=1):
+            if not AUTOMATON_CASE_RE.search(line):
+                continue
+            if src.suppressed(number, "automaton-dispatch"):
+                continue
+            findings.append(Finding(
+                src.path, number, "automaton-dispatch",
+                "switch on AutomatonKind outside src/core/automaton."
+                "{hh,cc}; dispatch through core::visitAutomaton so "
+                "the automaton switch exists once (or add the file to "
+                "AUTOMATON_DISPATCH_FILES if it maps kinds to "
+                "something other than a policy)",
+            ))
+
+
+# ---------------------------------------------------------------- #
 # rule: lock-discipline
 # ---------------------------------------------------------------- #
 
@@ -1113,6 +1163,7 @@ def run(root):
     check_schema_once(index.sources, findings)
     check_simd_twin(root, index.sources, findings)
     check_env_read(index, findings)
+    check_automaton_dispatch(index, findings)
     check_lock_discipline(index, findings)
     check_guarded_state(index, findings)
     check_layer_order(index, findings)

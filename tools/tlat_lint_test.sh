@@ -86,6 +86,18 @@ else
     echo "ok: raw_rand reports $count distinct sources"
 fi
 
+# The automaton_dispatch tree spells the label both bare (src/core)
+# and namespace-qualified (src/predictors); both must be caught.
+out=$("$PYTHON" "$LINT" --root "$FIXTURES/automaton_dispatch" 2>&1)
+count=$(printf '%s\n' "$out" | grep -c "\[automaton-dispatch\]")
+if [ "$count" -ne 2 ]; then
+    echo "FAIL: automaton_dispatch: expected 2 findings, got $count"
+    echo "$out"
+    failures=$((failures + 1))
+else
+    echo "ok: automaton_dispatch catches bare and qualified labels"
+fi
+
 # Sanctioned escapes must not fire: justified suppression comment,
 # the collect-then-sort ordered projection, and intrinsics inside the
 # util/simd kernel family with the scalar twin named.
